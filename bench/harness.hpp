@@ -157,18 +157,18 @@ class Harness {
   }
 
   /// Record a finished sweep in the output document (the "study" JSON
-  /// member) and, under --progress, summarize the engine's cache
-  /// accounting on stderr: evictions, resident/peak bytes, and per-stage
-  /// hit ratios.
+  /// member) and, under --progress, summarize the engine's artifact
+  /// accounting on stderr: hits and misses, materialized and peak live
+  /// bytes, and per-stage hit ratios.
   void attach_study(const core::StudyResult& result) {
     attach_json("study", core::study_json(result));
     if (!args_.flag("progress")) return;
     const core::SweepStats& sweep = result.sweep;
     std::ostringstream line;
     line << "  .. cache: " << sweep.total_hits() << " hits / "
-         << sweep.total_misses() << " misses, " << sweep.evictions
-         << " evictions, " << sweep.bytes << " resident bytes ("
-         << sweep.peak_bytes << " peak)\n  .. stage hit ratios:";
+         << sweep.total_misses() << " misses, " << sweep.bytes
+         << " artifact bytes (" << sweep.peak_bytes
+         << " peak live)\n  .. stage hit ratios:";
     for (unsigned i = 0; i < core::kSweepStageCount; ++i) {
       const auto stage = static_cast<core::SweepStage>(i);
       const core::StageCounters& c = sweep.stage(stage);

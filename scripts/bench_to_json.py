@@ -548,7 +548,7 @@ def scheduler_scaling(build_dir, name, extra):
     Both runs use the reuse engine, so the ratio isolates the scheduler's
     concurrency (independent cells flowing through the task graph) from
     artifact sharing. The two thread counts must produce bit-identical
-    ACD cells — the replay design makes thread count invisible to the
+    ACD cells — the grid-order drain makes thread count invisible to the
     arithmetic, and any divergence aborts. The host's cpu_count is
     recorded alongside: the >= 2x gate only binds on machines with at
     least 8 cores (a 1-core CI runner cannot exhibit parallel speedup,

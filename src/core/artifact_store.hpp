@@ -1,9 +1,9 @@
-// artifact_store.hpp — the crash-safe on-disk tier under the sweep
-// engine's in-memory artifact cache.
+// artifact_store.hpp — the crash-safe on-disk tier of the sweep engine's
+// stage artifacts.
 //
 // Every run of a study bench rebuilds the same expensive stage artifacts
 // (canonical samples, orderings, instances, NFI/FFI histograms) because
-// the byte-budgeted LRU dies with the process. The store persists those
+// the in-memory ones die with the process. The store persists those
 // artifacts as one file per (stage, content key), so a warm rerun — same
 // parameters, same build — deserializes instead of recomputing. It is a
 // cache, not a database: every failure mode (absent file, truncated
@@ -68,7 +68,7 @@ class ArtifactStore {
     std::uint64_t hits = 0;        ///< validated loads
     std::uint64_t misses = 0;      ///< probes with no (valid) file
     std::uint64_t corrupt = 0;     ///< probes that found an invalid file
-    std::uint64_t spills = 0;      ///< artifacts written (evictions+flush)
+    std::uint64_t spills = 0;      ///< artifacts written, each after its build
     std::uint64_t spilled_bytes = 0;
     std::uint64_t read_bytes = 0;
     std::uint64_t evicted_files = 0;  ///< files deleted by the budget

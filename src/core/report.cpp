@@ -225,7 +225,6 @@ std::string study_json(const StudyResult& result) {
   }
   os << "},\"hits\":" << result.sweep.total_hits()
      << ",\"misses\":" << result.sweep.total_misses()
-     << ",\"evictions\":" << result.sweep.evictions
      << ",\"bytes\":" << result.sweep.bytes
      << ",\"peak_bytes\":" << result.sweep.peak_bytes << "}}";
   return os.str();

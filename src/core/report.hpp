@@ -32,8 +32,9 @@ util::Table scaling_table(const StudyResult& result, bool far_field);
 
 /// Machine-readable JSON document for a sweep-engine run: the study
 /// description, one record per grid cell (across-trial mean ACDs plus
-/// 95% CI half-widths), and the engine's cache accounting
-/// (per-stage hit/miss counters, evictions, byte high-water mark).
+/// 95% CI half-widths), and the engine's artifact accounting
+/// (per-stage hit/miss counters, materialized bytes, live-byte
+/// high-water mark).
 std::string study_json(const StudyResult& result);
 
 /// Figure 5 layout: one row per resolution, one column per curve.

@@ -1,12 +1,17 @@
 #include "core/sweep.hpp"
 
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cstring>
 #include <deque>
+#include <exception>
 #include <initializer_list>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "core/artifact_store.hpp"
 #include "core/dynamic_acd.hpp"
@@ -41,130 +46,6 @@ std::string_view sweep_stage_name(SweepStage stage) noexcept {
   return "unknown";
 }
 
-std::shared_ptr<const void> ArtifactCache::lookup(SweepStage stage,
-                                                 std::uint64_t key) {
-  const unsigned idx = static_cast<unsigned>(stage);
-  Shard& sh = shard_of(key);
-  std::unique_lock<std::mutex> lk(sh.mutex);
-  const auto it = sh.map.find(key);
-  if (it == sh.map.end()) {
-    lk.unlock();
-    misses_[idx].fetch_add(1, std::memory_order_relaxed);
-    return nullptr;
-  }
-  it->second.touch_seq =
-      touch_seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-  // Touch timestamps exist only for the eviction-age histogram, so the
-  // clock read follows the metrics gate (same discipline as the pool).
-  if (obs::metrics_enabled()) it->second.last_touch_ns = obs::now_ns();
-  std::shared_ptr<const void> value = it->second.value;
-  lk.unlock();
-  hits_[idx].fetch_add(1, std::memory_order_relaxed);
-  return value;
-}
-
-void ArtifactCache::insert(SweepStage stage, std::uint64_t key,
-                           std::uint64_t raw_key,
-                           std::shared_ptr<const void> value,
-                           std::size_t bytes) {
-  const unsigned idx = static_cast<unsigned>(stage);
-  Entry fresh{std::move(value),
-              bytes,
-              stage,
-              raw_key,
-              obs::metrics_enabled() ? obs::now_ns() : 0,
-              touch_seq_.fetch_add(1, std::memory_order_relaxed) + 1};
-  {
-    Shard& sh = shard_of(key);
-    std::lock_guard<std::mutex> lk(sh.mutex);
-    Entry& slot = sh.map[key];
-    if (slot.value != nullptr) {
-      // Same-key overwrite: retire the replaced payload's accounting.
-      bytes_.fetch_sub(slot.bytes, std::memory_order_relaxed);
-      stage_bytes_[static_cast<unsigned>(slot.stage)].fetch_sub(
-          slot.bytes, std::memory_order_relaxed);
-    } else {
-      entries_.fetch_add(1, std::memory_order_relaxed);
-    }
-    slot = std::move(fresh);
-  }
-  const std::size_t resident =
-      bytes_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-  stage_bytes_[idx].fetch_add(bytes, std::memory_order_relaxed);
-  std::size_t peak = peak_bytes_.load(std::memory_order_relaxed);
-  while (resident > peak &&
-         !peak_bytes_.compare_exchange_weak(peak, resident,
-                                            std::memory_order_relaxed)) {
-  }
-  evict_to_budget();
-}
-
-void ArtifactCache::evict_to_budget() {
-  if (bytes_.load(std::memory_order_relaxed) <= budget_) return;
-  std::lock_guard<std::mutex> ev(evict_mutex_);
-  const bool metrics = obs::metrics_enabled();
-  // Evict the globally least-recently-touched entry until within budget.
-  // The entry just inserted carries the maximum recency stamp and is
-  // never the victim while anything else is resident; an over-budget
-  // artifact simply leaves the cache holding only itself.
-  while (bytes_.load(std::memory_order_relaxed) > budget_ &&
-         entries_.load(std::memory_order_relaxed) > 1) {
-    std::uint64_t victim_seq = ~std::uint64_t{0};
-    std::size_t victim_shard = 0;
-    std::uint64_t victim_key = 0;
-    for (std::size_t i = 0; i < kShardCount; ++i) {
-      std::lock_guard<std::mutex> lk(shards_[i].mutex);
-      for (const auto& [k, e] : shards_[i].map) {
-        if (e.touch_seq < victim_seq) {
-          victim_seq = e.touch_seq;
-          victim_shard = i;
-          victim_key = k;
-        }
-      }
-    }
-    if (victim_seq == ~std::uint64_t{0}) return;
-    Entry victim;
-    {
-      Shard& sh = shards_[victim_shard];
-      std::lock_guard<std::mutex> lk(sh.mutex);
-      const auto it = sh.map.find(victim_key);
-      // A concurrent hit may have re-warmed the candidate between the
-      // scan and this lock; rescan rather than evict a hot entry.
-      if (it == sh.map.end() || it->second.touch_seq != victim_seq) continue;
-      victim = std::move(it->second);
-      sh.map.erase(it);
-    }
-    entries_.fetch_sub(1, std::memory_order_relaxed);
-    bytes_.fetch_sub(victim.bytes, std::memory_order_relaxed);
-    stage_bytes_[static_cast<unsigned>(victim.stage)].fetch_sub(
-        victim.bytes, std::memory_order_relaxed);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics && victim.last_touch_ns != 0) {
-      // How long the victim sat cold: small ages mean the budget is
-      // thrashing artifacts that were just used.
-      obs::Registry::instance()
-          .histogram("sweep.cache.eviction_age_ns")
-          .record(obs::now_ns() - victim.last_touch_ns);
-    }
-    if (spill_) {
-      spill_(victim.stage, victim.raw_key, victim.value, victim.bytes);
-    }
-  }
-}
-
-SweepStats ArtifactCache::stats() const {
-  SweepStats out;
-  for (unsigned i = 0; i < kSweepStageCount; ++i) {
-    out.stages[i].hits = hits_[i].load(std::memory_order_relaxed);
-    out.stages[i].misses = misses_[i].load(std::memory_order_relaxed);
-    out.stage_bytes[i] = stage_bytes_[i].load(std::memory_order_relaxed);
-  }
-  out.evictions = evictions_.load(std::memory_order_relaxed);
-  out.bytes = bytes_.load(std::memory_order_relaxed);
-  out.peak_bytes = peak_bytes_.load(std::memory_order_relaxed);
-  return out;
-}
-
 namespace {
 
 /// Chain a field list into one 64-bit content key.
@@ -174,18 +55,15 @@ std::uint64_t key_of(std::initializer_list<std::uint64_t> fields) {
   return h;
 }
 
-/// Publish the run's cache accounting into the metrics registry: resident
-/// and peak bytes, evictions, and one hit-ratio gauge per pipeline stage.
+/// Publish the run's artifact accounting into the metrics registry: the
+/// live-bytes high-water mark and one hit-ratio gauge per pipeline stage.
 /// Gauges are set (not accumulated), so the snapshot always describes the
 /// most recent run in this process.
 void publish_sweep_metrics(const SweepStats& stats) {
   if (!obs::metrics_enabled()) return;
   obs::Registry& reg = obs::Registry::instance();
-  reg.gauge("sweep.cache.bytes").set(static_cast<double>(stats.bytes));
   reg.gauge("sweep.cache.peak_bytes")
       .set(static_cast<double>(stats.peak_bytes));
-  reg.gauge("sweep.cache.evictions")
-      .set(static_cast<double>(stats.evictions));
   for (unsigned i = 0; i < kSweepStageCount; ++i) {
     const auto stage = static_cast<SweepStage>(i);
     const StageCounters& c = stats.stage(stage);
@@ -194,16 +72,9 @@ void publish_sweep_metrics(const SweepStats& stats) {
         "sweep.stage." + std::string(sweep_stage_name(stage));
     reg.gauge(base + ".hit_ratio").set(c.hit_ratio());
   }
-  for (unsigned i = 0; i < kSweepStageCount; ++i) {
-    const auto stage = static_cast<SweepStage>(i);
-    if (stats.bytes_of(stage) == 0) continue;
-    reg.gauge("sweep.cache.stage." +
-              std::string(sweep_stage_name(stage)) + ".bytes")
-        .set(static_cast<double>(stats.bytes_of(stage)));
-  }
 }
 
-/// Span names per cached stage (string literals: obs::Span requires
+/// Span names per stage (string literals: obs::Span requires
 /// static lifetime). Indexed like SweepStats::stages.
 constexpr const char* kStageSpanNames[kSweepStageCount] = {
     "sweep/sample",        "sweep/canonical",     "sweep/ordering",
@@ -335,40 +206,55 @@ Ordering2 make_ordering(const std::vector<Point2>& canonical, unsigned level,
 
 // ------------------------------------------------------------- cell graph
 
+/// A materialized stage artifact and the bytes it holds.
+struct Artifact {
+  std::shared_ptr<const void> value;
+  std::size_t bytes = 0;
+};
+
+template <typename T>
+Artifact artifact_of(std::shared_ptr<const T> value) {
+  const std::size_t bytes = value->memory_bytes();
+  return Artifact{std::move(value), bytes};
+}
+
 /// One node of the study's task graph: a stage artifact to materialize,
 /// either by computing it or by deserializing a store payload validated
-/// and pinned at plan time. The coordinator creates every node during
-/// the plan walk; execution only reads the graph shape and writes
-/// outputs, so the only cross-thread state is `pending` and `output`
-/// (ordered by the dependency hand-off).
+/// and pinned at plan time. The coordinator creates every node and edge
+/// during the plan walk; execution only runs builds, moves the two
+/// counters and sets or frees `out` (ordered by the dependency
+/// hand-off).
 struct PlanNode {
-  SweepStage stage = SweepStage::kSample;
-  std::uint64_t raw_key = 0;  ///< un-mixed stage key (the store address)
-  /// Materializer: sets output and bytes. Runs exactly once, on
-  /// whichever thread the scheduler hands the node to.
-  std::function<void(PlanNode&)> build;
-  std::shared_ptr<const void> output;
-  std::size_t bytes = 0;
-  bool from_store = false;
-  ArtifactStore::Mapping mapping;  ///< pinned store payload (load nodes)
-  std::vector<PlanNode*> consumers;
+  PlanNode(SweepStage s, std::uint64_t k) : stage(s), key(k) {}
+
+  SweepStage stage;
+  std::uint64_t key;    ///< un-mixed stage key (the store address)
+  bool loaded = false;  ///< `build` deserializes a store payload
+  /// Materializer of `out` from the outputs of `deps`; runs exactly once,
+  /// on whichever thread the scheduler hands the node to, and is dropped
+  /// with its captures afterwards.
+  std::function<Artifact(const PlanNode&)> build;
+  Artifact out;
+  std::vector<PlanNode*> deps;       ///< inputs
+  std::vector<PlanNode*> consumers;  ///< nodes waiting on this build
   std::atomic<unsigned> pending{0};  ///< unfinished producers
+  std::atomic<unsigned> users{0};    ///< unfinished consumers of `out`
 };
 
 template <typename T>
 std::shared_ptr<const T> out_as(const PlanNode* node) {
-  return std::static_pointer_cast<const T>(node->output);
+  return std::static_pointer_cast<const T>(node->out.value);
 }
 
-/// One entry of the deterministic accounting replay: the exact cache
-/// operation the serial engine would have performed at this point of the
-/// grid walk.
-struct CacheOp {
-  enum Kind { kFind, kPut, kCountFold };
-  Kind kind = kFind;
-  SweepStage stage = SweepStage::kSample;
-  std::uint64_t raw_key = 0;
-  PlanNode* node = nullptr;  ///< kPut: the materialized artifact
+/// Output of a fold node: the cell's ACD contributions plus the fold's
+/// span-clock wall time for the progress sink.
+struct FoldOut {
+  double nfi_acd = 0.0;
+  double ffi_acd = 0.0;
+  bool has_nfi = false;
+  bool has_ffi = false;
+  double ms = 0.0;
+  std::size_t memory_bytes() const noexcept { return sizeof(FoldOut); }
 };
 
 /// One cell of the drain pass (results, statistics, progress) in grid
@@ -379,23 +265,13 @@ struct DrainJob {
   PlanNode* fold = nullptr;
 };
 
-/// Output of a fold node: the cell's ACD contributions plus the fold's
-/// span-clock wall time for the progress sink.
-struct FoldOut {
-  double nfi_acd = 0.0;
-  double ffi_acd = 0.0;
-  bool has_nfi = false;
-  bool has_ffi = false;
-  double ms = 0.0;
-};
-
 /// Stages with an on-disk representation. kSample is superseded by
 /// kCanonical (same content, already cell-sorted); kTopology is cheap to
-/// rebuild and validation must stay on the coordinator; kDelta artifacts
-/// are keyed per trajectory prefix and stay in-memory. kFold persists
-/// its two doubles: tiny payloads, but at warm-start time the folds are
-/// the one remaining recompute, so skipping them is what turns a warm
-/// rerun into pure deserialization.
+/// rebuild and validation must stay on the coordinator; kDelta results
+/// belong to run_dynamics. kFold persists its two doubles: tiny
+/// payloads, but at warm-start time the folds are the one remaining
+/// recompute, so skipping them is what turns a warm rerun into pure
+/// deserialization.
 bool store_persistable(SweepStage stage) noexcept {
   switch (stage) {
     case SweepStage::kCanonical:
@@ -410,10 +286,15 @@ bool store_persistable(SweepStage stage) noexcept {
   }
 }
 
+void append_raw(std::vector<std::uint8_t>& out, const void* data,
+                std::size_t n) {
+  const std::size_t at = out.size();
+  out.resize(at + n);
+  if (n != 0) std::memcpy(out.data() + at, data, n);
+}
+
 void append_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  std::uint8_t buf[8];
-  std::memcpy(buf, &v, sizeof buf);
-  out.insert(out.end(), buf, buf + sizeof buf);
+  append_raw(out, &v, sizeof v);
 }
 
 bool read_u64(const std::uint8_t* data, std::size_t size, std::size_t& offset,
@@ -424,10 +305,27 @@ bool read_u64(const std::uint8_t* data, std::size_t size, std::size_t& offset,
   return true;
 }
 
-void append_bytes(std::vector<std::uint8_t>& out, const void* data,
-                  std::size_t n) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  out.insert(out.end(), p, p + n);
+/// Array payload: a u64 element count, then the elements' bytes.
+template <typename T>
+void append_array(std::vector<std::uint8_t>& out, const std::vector<T>& v) {
+  append_u64(out, v.size());
+  append_raw(out, v.data(), v.size() * sizeof(T));
+}
+
+/// Inverse of append_array over a whole payload; nullopt when the count
+/// and the byte length disagree.
+template <typename T>
+std::optional<std::vector<T>> read_array(const std::uint8_t* data,
+                                         std::size_t size) {
+  std::size_t off = 0;
+  std::uint64_t count = 0;
+  if (!read_u64(data, size, off, count) || (size - off) % sizeof(T) != 0 ||
+      (size - off) / sizeof(T) != count) {
+    return std::nullopt;
+  }
+  std::vector<T> out(static_cast<std::size_t>(count));
+  if (!out.empty()) std::memcpy(out.data(), data + off, size - off);
+  return out;
 }
 
 /// Store payload of one persistable artifact (host-endian; provenance in
@@ -438,27 +336,15 @@ std::vector<std::uint8_t> serialize_artifact(SweepStage stage,
                                              const void* value) {
   std::vector<std::uint8_t> out;
   switch (stage) {
-    case SweepStage::kCanonical: {
-      const auto* canon = static_cast<const CanonicalSample2*>(value);
-      append_u64(out, canon->particles.size());
-      append_bytes(out, canon->particles.data(),
-                   canon->particles.size() * sizeof(Point2));
+    case SweepStage::kCanonical:
+      append_array(out, static_cast<const CanonicalSample2*>(value)->particles);
       break;
-    }
-    case SweepStage::kOrdering: {
-      const auto* ord = static_cast<const Ordering2*>(value);
-      append_u64(out, ord->rank.size());
-      append_bytes(out, ord->rank.data(),
-                   ord->rank.size() * sizeof(std::uint32_t));
+    case SweepStage::kOrdering:
+      append_array(out, static_cast<const Ordering2*>(value)->rank);
       break;
-    }
-    case SweepStage::kInstance: {
-      const auto* inst = static_cast<const AcdInstance<2>*>(value);
-      append_u64(out, inst->particles().size());
-      append_bytes(out, inst->particles().data(),
-                   inst->particles().size() * sizeof(Point2));
+    case SweepStage::kInstance:
+      append_array(out, static_cast<const AcdInstance<2>*>(value)->particles());
       break;
-    }
     case SweepStage::kNfiHistogram:
       rank_pairs_serialize(*static_cast<const RankPairAccumulator*>(value),
                            out);
@@ -474,11 +360,8 @@ std::vector<std::uint8_t> serialize_artifact(SweepStage stage,
       const auto* fold = static_cast<const FoldOut*>(value);
       append_u64(out, (fold->has_nfi ? 1ull : 0ull) |
                           (fold->has_ffi ? 2ull : 0ull));
-      std::uint64_t bits = 0;
-      std::memcpy(&bits, &fold->nfi_acd, sizeof bits);
-      append_u64(out, bits);
-      std::memcpy(&bits, &fold->ffi_acd, sizeof bits);
-      append_u64(out, bits);
+      append_u64(out, std::bit_cast<std::uint64_t>(fold->nfi_acd));
+      append_u64(out, std::bit_cast<std::uint64_t>(fold->ffi_acd));
       break;
     }
     default:
@@ -487,200 +370,274 @@ std::vector<std::uint8_t> serialize_artifact(SweepStage stage,
   return out;
 }
 
-[[noreturn]] void malformed_store_payload() {
-  // Unreachable for store-read payloads (the header checksum validated
-  // the exact bytes the producer wrote); reaching it means a producer
-  // bug, which must not be silently recomputed around.
-  throw std::runtime_error("artifact store: malformed payload");
-}
-
-/// Deserializer for a store-loaded node of `stage`. The returned builder
-/// reconstructs the artifact from the pinned mapping and releases the
-/// mapping immediately after.
-std::function<void(PlanNode&)> store_load_build(SweepStage stage,
-                                                unsigned level) {
+/// Inverse of serialize_artifact: the artifact a store payload encodes,
+/// or a null value when the payload does not decode.
+Artifact deserialize_artifact(SweepStage stage, const std::uint8_t* data,
+                              std::size_t size, unsigned level) {
   switch (stage) {
-    case SweepStage::kCanonical:
-      return [level](PlanNode& n) {
-        const obs::Span span("sweep/store/load");
-        std::size_t off = 0;
-        std::uint64_t count = 0;
-        if (!read_u64(n.mapping.data(), n.mapping.size(), off, count) ||
-            n.mapping.size() - off != count * sizeof(Point2)) {
-          malformed_store_payload();
-        }
-        std::vector<Point2> pts(count);
-        std::memcpy(pts.data(), n.mapping.data() + off,
-                    count * sizeof(Point2));
-        auto canon =
-            std::make_shared<const CanonicalSample2>(std::move(pts), level);
-        n.bytes = canon->memory_bytes();
-        n.output = std::move(canon);
-        n.mapping = ArtifactStore::Mapping();
-      };
-    case SweepStage::kOrdering:
-      return [](PlanNode& n) {
-        const obs::Span span("sweep/store/load");
-        std::size_t off = 0;
-        std::uint64_t count = 0;
-        if (!read_u64(n.mapping.data(), n.mapping.size(), off, count) ||
-            n.mapping.size() - off != count * sizeof(std::uint32_t)) {
-          malformed_store_payload();
-        }
-        Ordering2 ord;
-        ord.rank.resize(count);
-        std::memcpy(ord.rank.data(), n.mapping.data() + off,
-                    count * sizeof(std::uint32_t));
-        auto built = std::make_shared<const Ordering2>(std::move(ord));
-        n.bytes = built->memory_bytes();
-        n.output = std::move(built);
-        n.mapping = ArtifactStore::Mapping();
-      };
-    case SweepStage::kInstance:
-      return [level](PlanNode& n) {
-        const obs::Span span("sweep/store/load");
-        std::size_t off = 0;
-        std::uint64_t count = 0;
-        if (!read_u64(n.mapping.data(), n.mapping.size(), off, count) ||
-            n.mapping.size() - off != count * sizeof(Point2)) {
-          malformed_store_payload();
-        }
-        std::vector<Point2> pts(count);
-        std::memcpy(pts.data(), n.mapping.data() + off,
-                    count * sizeof(Point2));
-        auto built = std::make_shared<const AcdInstance<2>>(
-            AcdInstance<2>::from_sorted(std::move(pts), level));
-        n.bytes = built->memory_bytes();
-        n.output = std::move(built);
-        n.mapping = ArtifactStore::Mapping();
-      };
-    case SweepStage::kNfiHistogram:
-      return [](PlanNode& n) {
-        const obs::Span span("sweep/store/load");
-        std::size_t off = 0;
-        auto acc =
-            rank_pairs_deserialize(n.mapping.data(), n.mapping.size(), off);
-        if (!acc || off != n.mapping.size()) malformed_store_payload();
-        auto built =
-            std::make_shared<const RankPairAccumulator>(std::move(*acc));
-        n.bytes = built->memory_bytes();
-        n.output = std::move(built);
-        n.mapping = ArtifactStore::Mapping();
-      };
-    case SweepStage::kFfiHistogram:
-      return [](PlanNode& n) {
-        const obs::Span span("sweep/store/load");
-        std::size_t off = 0;
-        auto hist = fmm::ffi_histograms_deserialize(n.mapping.data(),
-                                                    n.mapping.size(), off);
-        if (!hist || off != n.mapping.size()) malformed_store_payload();
-        auto built =
-            std::make_shared<const fmm::FfiHistograms>(std::move(*hist));
-        n.bytes = built->memory_bytes();
-        n.output = std::move(built);
-        n.mapping = ArtifactStore::Mapping();
-      };
-    case SweepStage::kFold:
-      return [](PlanNode& n) {
-        const std::uint64_t t0 = obs::now_ns();
-        const obs::Span span("sweep/store/load");
-        std::size_t off = 0;
-        std::uint64_t flags = 0, nfi_bits = 0, ffi_bits = 0;
-        if (!read_u64(n.mapping.data(), n.mapping.size(), off, flags) ||
-            !read_u64(n.mapping.data(), n.mapping.size(), off, nfi_bits) ||
-            !read_u64(n.mapping.data(), n.mapping.size(), off, ffi_bits) ||
-            off != n.mapping.size() || (flags & ~3ull) != 0) {
-          malformed_store_payload();
-        }
-        auto out = std::make_shared<FoldOut>();
-        out->has_nfi = (flags & 1ull) != 0;
-        out->has_ffi = (flags & 2ull) != 0;
-        std::memcpy(&out->nfi_acd, &nfi_bits, sizeof nfi_bits);
-        std::memcpy(&out->ffi_acd, &ffi_bits, sizeof ffi_bits);
-        out->ms = static_cast<double>(obs::now_ns() - t0) / 1e6;
-        n.bytes = sizeof(FoldOut);
-        n.output = std::move(out);
-        n.mapping = ArtifactStore::Mapping();
-      };
+    case SweepStage::kCanonical: {
+      auto pts = read_array<Point2>(data, size);
+      if (!pts) return {};
+      return artifact_of(
+          std::make_shared<const CanonicalSample2>(std::move(*pts), level));
+    }
+    case SweepStage::kOrdering: {
+      auto rank = read_array<std::uint32_t>(data, size);
+      if (!rank) return {};
+      return artifact_of(
+          std::make_shared<const Ordering2>(Ordering2{std::move(*rank)}));
+    }
+    case SweepStage::kInstance: {
+      auto pts = read_array<Point2>(data, size);
+      if (!pts) return {};
+      return artifact_of(std::make_shared<const AcdInstance<2>>(
+          AcdInstance<2>::from_sorted(std::move(*pts), level)));
+    }
+    case SweepStage::kNfiHistogram: {
+      std::size_t off = 0;
+      auto acc = rank_pairs_deserialize(data, size, off);
+      if (!acc || off != size) return {};
+      return artifact_of(
+          std::make_shared<const RankPairAccumulator>(std::move(*acc)));
+    }
+    case SweepStage::kFfiHistogram: {
+      std::size_t off = 0;
+      auto hist = fmm::ffi_histograms_deserialize(data, size, off);
+      if (!hist || off != size) return {};
+      return artifact_of(
+          std::make_shared<const fmm::FfiHistograms>(std::move(*hist)));
+    }
+    case SweepStage::kFold: {
+      const std::uint64_t t0 = obs::now_ns();
+      std::size_t off = 0;
+      std::uint64_t flags = 0, nfi_bits = 0, ffi_bits = 0;
+      if (!read_u64(data, size, off, flags) ||
+          !read_u64(data, size, off, nfi_bits) ||
+          !read_u64(data, size, off, ffi_bits) || off != size ||
+          (flags & ~3ull) != 0) {
+        return {};
+      }
+      auto out = std::make_shared<FoldOut>();
+      out->has_nfi = (flags & 1ull) != 0;
+      out->has_ffi = (flags & 2ull) != 0;
+      out->nfi_acd = std::bit_cast<double>(nfi_bits);
+      out->ffi_acd = std::bit_cast<double>(ffi_bits);
+      out->ms = static_cast<double>(obs::now_ns() - t0) / 1e6;
+      return artifact_of(std::shared_ptr<const FoldOut>(std::move(out)));
+    }
     default:
       return {};
   }
 }
 
+/// Runs planned nodes: builds each one (unless an earlier build threw),
+/// saves what it built to the store, hands completion on to consumers,
+/// and frees every output whose last consumer has finished. Shared by
+/// the serial and the pool schedule.
+class Executor {
+ public:
+  explicit Executor(ArtifactStore* store) : store_(store) {}
+
+  /// Materialize `n` on this thread and charge its bytes; a persistable
+  /// artifact built here (not loaded) is written to the store right away.
+  void build(PlanNode& n) {
+    const std::function<Artifact(const PlanNode&)> fn =
+        std::exchange(n.build, nullptr);
+    n.out = fn(n);
+    if (n.stage != SweepStage::kFold) {
+      bytes_.fetch_add(n.out.bytes, std::memory_order_relaxed);
+      const std::size_t live =
+          live_.fetch_add(n.out.bytes, std::memory_order_relaxed) +
+          n.out.bytes;
+      std::size_t peak = peak_.load(std::memory_order_relaxed);
+      while (live > peak && !peak_.compare_exchange_weak(
+                                peak, live, std::memory_order_relaxed)) {
+      }
+    }
+    if (store_ != nullptr && !n.loaded && store_persistable(n.stage) &&
+        !store_->contains(n.stage, n.key)) {
+      const std::vector<std::uint8_t> payload =
+          serialize_artifact(n.stage, n.out.value.get());
+      store_->save(n.stage, n.key, payload.data(), payload.size());
+    }
+  }
+
+  /// build() a ready node, recording the first exception of the run
+  /// instead of throwing; then pass `ready` each consumer this was the
+  /// last producer of, and free inputs nobody needs any more. Nodes after
+  /// a failure skip their build but still count down, so the graph
+  /// always drains.
+  template <typename ReadyFn>
+  void run(PlanNode& n, ReadyFn&& ready) {
+    if (!failed_.load(std::memory_order_acquire)) {
+      try {
+        build(n);
+      } catch (...) {
+        const std::lock_guard<std::mutex> lk(error_mutex_);
+        if (!error_) error_ = std::current_exception();
+        failed_.store(true, std::memory_order_release);
+      }
+    }
+    n.build = nullptr;
+    for (PlanNode* c : n.consumers) {
+      // acq_rel: the consumer's build must observe every producer output,
+      // whichever thread decrements last.
+      if (c->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) ready(*c);
+    }
+    for (PlanNode* d : n.deps) {
+      if (d->users.fetch_sub(1, std::memory_order_acq_rel) == 1) release(*d);
+    }
+    // Nothing reads an unconsumed artifact again; folds wait for the
+    // drain.
+    if (n.consumers.empty() && n.stage != SweepStage::kFold) release(n);
+  }
+
+  /// Rethrow the first build exception, if any (after the join).
+  void rethrow_failure() const {
+    if (error_) std::rethrow_exception(error_);
+  }
+
+  std::size_t bytes() const noexcept { return bytes_.load(); }
+  std::size_t peak_bytes() const noexcept { return peak_.load(); }
+
+ private:
+  void release(PlanNode& n) {
+    live_.fetch_sub(n.out.bytes, std::memory_order_relaxed);
+    n.out = Artifact{};
+  }
+
+  ArtifactStore* store_;
+  std::atomic<std::size_t> bytes_{0};
+  std::atomic<std::size_t> live_{0};
+  std::atomic<std::size_t> peak_{0};
+  std::atomic<bool> failed_{false};
+  std::mutex error_mutex_;
+  std::exception_ptr error_;
+};
+
+/// Execute the planned graph: roots first, completions cascading through
+/// the dependency counters. Serially the ready nodes form a stack, so
+/// each (distribution, trial) row runs to its folds — and frees its
+/// artifacts — before the next row's sample is drawn; on a pool every
+/// ready node is a task and the coordinator helps drain the queue.
+void execute(std::deque<PlanNode>& nodes, Executor& exec,
+             util::ThreadPool* pool) {
+  std::vector<PlanNode*> roots;
+  std::size_t runnable = 0;
+  for (PlanNode& n : nodes) {
+    if (!n.build) continue;  // a topology, built while planning
+    ++runnable;
+    if (n.pending.load(std::memory_order_relaxed) == 0) roots.push_back(&n);
+  }
+  if (pool == nullptr || pool->size() <= 1) {
+    // Reversed, so the first row's root is on top of the stack.
+    std::vector<PlanNode*> ready(roots.rbegin(), roots.rend());
+    while (!ready.empty()) {
+      PlanNode* n = ready.back();
+      ready.pop_back();
+      exec.run(*n, [&ready](PlanNode& c) { ready.push_back(&c); });
+    }
+    return;
+  }
+  struct Task {
+    Executor* exec;
+    util::ThreadPool* pool;
+    util::Latch* done;
+    void operator()(PlanNode& n) const {
+      exec->run(n, [this](PlanNode& c) {
+        pool->submit([task = *this, &c] { task(c); });
+      });
+      done->count_down();
+    }
+  };
+  util::Latch done(runnable);
+  const Task task{&exec, pool, &done};
+  // Roots were collected before any is submitted: once a root runs, its
+  // completions count consumers down to zero, and a live scan would
+  // submit those twice.
+  for (PlanNode* n : roots) pool->submit([task, n] { task(*n); });
+  done.wait_and_help(util::can_help(*pool) ? pool : nullptr);
+}
+
 /// The artifact-reusing engine path: plan the whole study as a task
-/// graph on the coordinator (grid order, exactly the serial walk), run
-/// every node on the pool with dependency counters, then replay the
-/// cache accounting and drain results serially — so independent cells
-/// execute concurrently end-to-end while results, statistics, progress
-/// order, and SweepStats stay bit-identical to the serial engine.
+/// graph on the coordinator (grid order), execute it, then drain the
+/// cells in grid order — so independent cells execute concurrently
+/// end-to-end while results, statistics, progress order and the SweepStats
+/// counters stay the same at every thread count.
 StudyResult run_reuse(const Study& s, const SweepOptions& o) {
   StudyResult result;
   result.study = s;
   result.cells.assign(s.cell_count(), AcdCell{});
   result.stats.assign(s.cell_count(), AcdCellStats{});
 
-  ArtifactCache cache(o.cache_bytes);
   ArtifactStore* store = o.store;
   util::ThreadPool* pool = o.pool;
-  const bool parallel = pool != nullptr && pool->size() > 1;
   const double trials = s.trials;
   const std::size_t nrc = s.processor_order_count();
+  Executor exec(store);
 
   // Ordering-stage throughput accounting for the
-  // sweep.stage.order.ns_per_particle gauge: every cache-miss ordering
-  // build adds its span-clock wall time and particle count.
+  // sweep.stage.order.ns_per_particle gauge: every ordering build adds
+  // its span-clock wall time and particle count.
   std::atomic<std::uint64_t> order_build_ns{0};
   std::atomic<std::uint64_t> order_build_particles{0};
 
   // ---- plan -------------------------------------------------------
-  // One pass over the study grid on the coordinator, in the serial
-  // engine's exact order. Every artifact becomes a node (deduped by
-  // stage key); every cache operation the serial engine would perform
-  // is recorded in `ops` at its exact site, to be replayed after
-  // execution — so the SweepStats counters are deterministic whatever
-  // the scheduling.
   std::deque<PlanNode> nodes;  // deque: node addresses must be stable
-  std::vector<CacheOp> ops;
   std::vector<DrainJob> drain;
   std::array<std::unordered_map<std::uint64_t, PlanNode*>, kSweepStageCount>
       planned;
-  auto planned_of =
-      [&planned](SweepStage stage) -> std::unordered_map<std::uint64_t,
-                                                         PlanNode*>& {
-    return planned[static_cast<unsigned>(stage)];
-  };
-  auto make_node = [&nodes](SweepStage stage,
-                            std::uint64_t raw_key) -> PlanNode* {
-    PlanNode& n = nodes.emplace_back();
-    n.stage = stage;
-    n.raw_key = raw_key;
-    return &n;
-  };
-  auto link = [](PlanNode* node, std::initializer_list<PlanNode*> deps) {
-    unsigned count = 0;
-    for (PlanNode* dep : deps) {
-      if (dep == nullptr || dep->output != nullptr) continue;
-      dep->consumers.push_back(node);
-      ++count;
+  using Deps = std::vector<PlanNode*>;
+  // The artifact (stage, key), planned once: the first request makes the
+  // node — a store load when the store holds the key, else `build` after
+  // the producers `deps()` names — and counts a miss; every later request
+  // returns the same node and counts a hit. Folds are counted per cell at
+  // their site instead.
+  auto plan = [&](SweepStage stage, std::uint64_t key, const auto& deps,
+                  std::function<Artifact(const PlanNode&)> build)
+      -> PlanNode* {
+    auto [it, fresh] =
+        planned[static_cast<unsigned>(stage)].try_emplace(key, nullptr);
+    if (stage != SweepStage::kFold) {
+      StageCounters& c = result.sweep.stage(stage);
+      ++(fresh ? c.misses : c.hits);
     }
-    node->pending.store(count, std::memory_order_relaxed);
-  };
-  auto find_op = [&ops](SweepStage stage, std::uint64_t key) {
-    ops.push_back(CacheOp{CacheOp::kFind, stage, key, nullptr});
-  };
-  auto put_op = [&ops](PlanNode* node) {
-    ops.push_back(CacheOp{CacheOp::kPut, node->stage, node->raw_key, node});
-  };
-  // Store probe for a planned miss: a validated payload turns the node
-  // into a cheap deserialize; the mapping pins the bytes until then.
-  auto probe_store = [store, level = s.level](PlanNode* node) -> bool {
-    if (store == nullptr || !store_persistable(node->stage)) return false;
-    auto mapping = store->load(node->stage, node->raw_key);
-    if (!mapping) return false;
-    node->mapping = std::move(*mapping);
-    node->from_store = true;
-    node->build = store_load_build(node->stage, level);
-    return true;
+    if (!fresh) return it->second;
+    PlanNode* node = &nodes.emplace_back(stage, key);
+    it->second = node;
+    if (store != nullptr && store_persistable(stage)) {
+      if (auto mapping = store->load(stage, key)) {
+        node->loaded = true;
+        node->build =
+            [stage, level = s.level,
+             payload = std::make_shared<const ArtifactStore::Mapping>(
+                 std::move(*mapping))](const PlanNode&) {
+              const obs::Span span("sweep/store/load");
+              Artifact a = deserialize_artifact(stage, payload->data(),
+                                                payload->size(), level);
+              // The checksum validated the exact bytes some producer
+              // wrote, so a payload that does not decode is a producer
+              // bug or a forged file. Recomputing around it would hide
+              // that; run_study raises it instead.
+              if (a.value == nullptr) {
+                throw std::runtime_error("artifact store: malformed payload");
+              }
+              return a;
+            };
+        return node;
+      }
+    }
+    node->build = std::move(build);
+    for (PlanNode* dep : deps()) {
+      if (dep == nullptr) continue;
+      node->deps.push_back(dep);
+      dep->users.fetch_add(1, std::memory_order_relaxed);
+      if (dep->out.value == nullptr) {  // not materialized at plan time
+        dep->consumers.push_back(node);
+        node->pending.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    return node;
   };
 
   for (std::size_t d = 0; d < s.distributions.size(); ++d) {
@@ -691,28 +648,13 @@ StudyResult run_reuse(const Study& s, const SweepOptions& o) {
 
       // Canonical spatial state for this (distribution, trial): the
       // cell-sorted sample and its occupancy grid, which every curve of
-      // the row shares. The serial engine's canonical builder starts
-      // with the sample lookup, so the sample ops nest inside the
-      // canonical miss.
-      find_op(SweepStage::kCanonical, sample_key);
-      PlanNode* canonical = nullptr;
-      if (const auto it = planned_of(SweepStage::kCanonical).find(sample_key);
-          it != planned_of(SweepStage::kCanonical).end()) {
-        canonical = it->second;
-      } else {
-        canonical = make_node(SweepStage::kCanonical, sample_key);
-        if (!probe_store(canonical)) {
-          find_op(SweepStage::kSample, sample_key);
-          PlanNode* sample = nullptr;
-          if (const auto sit = planned_of(SweepStage::kSample).find(sample_key);
-              sit != planned_of(SweepStage::kSample).end()) {
-            sample = sit->second;
-          } else {
-            sample = make_node(SweepStage::kSample, sample_key);
-            sample->build = [dk = s.distributions[d], count = s.particles,
-                             level = s.level,
-                             seed = util::substream_seed(s.seed, t)](
-                                PlanNode& n) {
+      // the row shares. The sample is requested only when the canonical
+      // copy has to be built.
+      const auto sample_deps = [&] {
+        return Deps{plan(
+            SweepStage::kSample, sample_key, [] { return Deps{}; },
+            [dk = s.distributions[d], count = s.particles, level = s.level,
+             seed = util::substream_seed(s.seed, t)](const PlanNode&) {
               const obs::Span span(stage_span_name(SweepStage::kSample));
               dist::SampleConfig cfg;
               cfg.count = count;
@@ -720,60 +662,29 @@ StudyResult run_reuse(const Study& s, const SweepOptions& o) {
               cfg.seed = seed;
               auto pts = std::make_shared<const Sample2>(
                   dist::sample_particles<2>(dk, cfg));
-              n.bytes = pts->capacity() * sizeof(Point2);
-              n.output = std::move(pts);
-            };
-            put_op(sample);
-            planned_of(SweepStage::kSample).emplace(sample_key, sample);
-          }
-          canonical->build = [sample, level = s.level, pool](PlanNode& n) {
+              const std::size_t bytes = pts->capacity() * sizeof(Point2);
+              return Artifact{std::move(pts), bytes};
+            })};
+      };
+      PlanNode* canonical = plan(
+          SweepStage::kCanonical, sample_key, sample_deps,
+          [level = s.level, pool](const PlanNode& n) {
             const obs::Span span(stage_span_name(SweepStage::kCanonical));
-            const auto raw = out_as<Sample2>(sample);
-            auto canon = std::make_shared<const CanonicalSample2>(
-                canonical_order(*raw, level, pool), level);
-            n.bytes = canon->memory_bytes();
-            n.output = std::move(canon);
-          };
-          link(canonical, {sample});
-        }
-        put_op(canonical);
-        planned_of(SweepStage::kCanonical).emplace(sample_key, canonical);
-      }
+            const auto raw = out_as<Sample2>(n.deps.front());
+            return artifact_of(std::make_shared<const CanonicalSample2>(
+                canonical_order(*raw, level, pool), level));
+          });
+      const auto needs_canonical = [&] { return Deps{canonical}; };
 
-      // Ordering (and, for FFI studies, instance) sites: lookups in pc
-      // order, then the misses in pc order — the serial engine's
-      // prefetch shape, so the counter sequence is identical.
-      const std::size_t npc = s.particle_curves.size();
-      std::vector<PlanNode*> orderings(npc, nullptr);
-      {
-        std::vector<std::size_t> missed;
-        for (std::size_t pc = 0; pc < npc; ++pc) {
-          const std::uint64_t order_key = sweep_key(
-              sample_key, static_cast<std::uint64_t>(s.particle_curves[pc]));
-          find_op(SweepStage::kOrdering, order_key);
-          if (const auto it = planned_of(SweepStage::kOrdering).find(order_key);
-              it != planned_of(SweepStage::kOrdering).end()) {
-            orderings[pc] = it->second;
-          } else {
-            missed.push_back(pc);
-          }
-        }
-        for (const std::size_t pc : missed) {
-          const CurveKind pkind = s.particle_curves[pc];
-          const std::uint64_t order_key =
-              sweep_key(sample_key, static_cast<std::uint64_t>(pkind));
-          if (const auto it = planned_of(SweepStage::kOrdering).find(order_key);
-              it != planned_of(SweepStage::kOrdering).end()) {
-            // Duplicate curve in the study row: one build, two puts —
-            // the same artifact the serial engine would re-put.
-            orderings[pc] = it->second;
-            put_op(it->second);
-            continue;
-          }
-          PlanNode* node = make_node(SweepStage::kOrdering, order_key);
-          if (!probe_store(node)) {
-            node->build = [canonical, pkind, level = s.level, &order_build_ns,
-                           &order_build_particles](PlanNode& n) {
+      for (std::size_t pc = 0; pc < s.particle_curves.size(); ++pc) {
+        const CurveKind pkind = s.particle_curves[pc];
+        const std::uint64_t curve_key =
+            sweep_key(sample_key, static_cast<std::uint64_t>(pkind));
+
+        PlanNode* ordering = plan(
+            SweepStage::kOrdering, curve_key, needs_canonical,
+            [canonical, pkind, level = s.level, &order_build_ns,
+             &order_build_particles](const PlanNode&) {
               const obs::Span span(stage_span_name(SweepStage::kOrdering));
               const std::uint64_t t0 = obs::now_ns();
               const auto canon = out_as<CanonicalSample2>(canonical);
@@ -784,92 +695,43 @@ StudyResult run_reuse(const Study& s, const SweepOptions& o) {
                                        std::memory_order_relaxed);
               order_build_particles.fetch_add(canon->particles.size(),
                                               std::memory_order_relaxed);
-              n.bytes = built->memory_bytes();
-              n.output = std::move(built);
-            };
-            link(node, {canonical});
-          }
-          put_op(node);
-          planned_of(SweepStage::kOrdering).emplace(order_key, node);
-          orderings[pc] = node;
-        }
-      }
+              return artifact_of(std::move(built));
+            });
+        const auto needs_ordering = [&] { return Deps{canonical, ordering}; };
 
-      // The FFI tree walk is the one consumer that needs the particles
-      // physically in curve order; scatter them through the rank table
-      // instead of re-sorting (the sequence is identical). Near-field-
-      // only studies never build an instance at all.
-      std::vector<PlanNode*> instances(s.far_field ? npc : 0, nullptr);
-      if (s.far_field) {
-        std::vector<std::size_t> missed;
-        for (std::size_t pc = 0; pc < npc; ++pc) {
-          const std::uint64_t instance_key = sweep_key(
-              sample_key, static_cast<std::uint64_t>(s.particle_curves[pc]));
-          find_op(SweepStage::kInstance, instance_key);
-          if (const auto it =
-                  planned_of(SweepStage::kInstance).find(instance_key);
-              it != planned_of(SweepStage::kInstance).end()) {
-            instances[pc] = it->second;
-          } else {
-            missed.push_back(pc);
-          }
+        // The FFI tree walk is the one consumer that needs the particles
+        // physically in curve order; scatter them through the rank table
+        // instead of re-sorting (the sequence is identical). Near-field-
+        // only studies never build an instance at all.
+        PlanNode* instance = nullptr;
+        if (s.far_field) {
+          instance = plan(
+              SweepStage::kInstance, curve_key, needs_ordering,
+              [canonical, ordering, level = s.level](const PlanNode&) {
+                const obs::Span span(stage_span_name(SweepStage::kInstance));
+                const auto canon = out_as<CanonicalSample2>(canonical);
+                const auto ord = out_as<Ordering2>(ordering);
+                std::vector<Point2> sorted(canon->particles.size());
+                for (std::size_t i = 0; i < sorted.size(); ++i) {
+                  sorted[ord->rank[i]] = canon->particles[i];
+                }
+                return artifact_of(std::make_shared<const AcdInstance<2>>(
+                    AcdInstance<2>::from_sorted(std::move(sorted), level)));
+              });
         }
-        for (const std::size_t pc : missed) {
-          const std::uint64_t instance_key = sweep_key(
-              sample_key, static_cast<std::uint64_t>(s.particle_curves[pc]));
-          if (const auto it =
-                  planned_of(SweepStage::kInstance).find(instance_key);
-              it != planned_of(SweepStage::kInstance).end()) {
-            instances[pc] = it->second;
-            put_op(it->second);
-            continue;
-          }
-          PlanNode* node = make_node(SweepStage::kInstance, instance_key);
-          if (!probe_store(node)) {
-            node->build = [canonical, ordering = orderings[pc],
-                           level = s.level](PlanNode& n) {
-              const obs::Span span(stage_span_name(SweepStage::kInstance));
-              const auto canon = out_as<CanonicalSample2>(canonical);
-              const auto ord = out_as<Ordering2>(ordering);
-              std::vector<Point2> sorted(canon->particles.size());
-              for (std::size_t i = 0; i < sorted.size(); ++i) {
-                sorted[ord->rank[i]] = canon->particles[i];
-              }
-              auto built = std::make_shared<const AcdInstance<2>>(
-                  AcdInstance<2>::from_sorted(std::move(sorted), level));
-              n.bytes = built->memory_bytes();
-              n.output = std::move(built);
-            };
-            link(node, {canonical, orderings[pc]});
-          }
-          put_op(node);
-          planned_of(SweepStage::kInstance).emplace(instance_key, node);
-          instances[pc] = node;
-        }
-      }
-
-      for (std::size_t pc = 0; pc < npc; ++pc) {
-        const CurveKind pkind = s.particle_curves[pc];
-        const std::uint64_t instance_key =
-            sweep_key(sample_key, static_cast<std::uint64_t>(pkind));
 
         for (std::size_t pi = 0; pi < s.proc_counts.size(); ++pi) {
           const topo::Rank procs = s.proc_counts[pi];
 
-          // Plan this group's fold inputs (cache ops stay in the serial
-          // prefetch order; make_topology's argument validation throws
-          // here on the coordinator, never inside a pool task).
-          std::vector<DrainJob> group;
-          group.reserve(nrc * s.topologies.size());
           for (std::size_t rc = 0; rc < nrc; ++rc) {
             const std::size_t rc_index = s.paired_curves() ? pc : rc;
             const CurveKind rkind =
                 s.paired_curves() ? pkind : s.processor_curves[rc];
             for (std::size_t ti = 0; ti < s.topologies.size(); ++ti) {
               const topo::TopologyKind tkind = s.topologies[ti];
-              // The planned fold strategy is part of the cache identity:
-              // a strategy change (new kernel, budget change) must not
-              // resurrect payloads sized for the old plan.
+              // The planned fold strategy is part of the key: a strategy
+              // change (new kernel, budget change) must not resurrect
+              // payloads sized for the old plan.
               const topo::FoldStrategy planned_fold =
                   topo::planned_fold_strategy(tkind, procs);
               const std::uint64_t topo_key =
@@ -878,66 +740,50 @@ StudyResult run_reuse(const Study& s, const SweepOptions& o) {
                               ? static_cast<std::uint64_t>(rkind)
                               : kNoRanking,
                           static_cast<std::uint64_t>(planned_fold)});
-              find_op(SweepStage::kTopology, topo_key);
-              PlanNode* topo_node = nullptr;
-              if (const auto it = planned_of(SweepStage::kTopology)
-                                      .find(topo_key);
-                  it != planned_of(SweepStage::kTopology).end()) {
-                topo_node = it->second;
-              } else {
-                // Topologies are built eagerly at plan time: they are
-                // cheap, their validation must throw on the coordinator,
-                // and pre-materializing them keeps them out of the
-                // execution graph entirely.
-                topo_node = make_node(SweepStage::kTopology, topo_key);
-                const obs::Span span(stage_span_name(SweepStage::kTopology));
-                const auto ranking = make_curve<2>(rkind);
-                std::shared_ptr<const topo::Topology> net =
-                    topo::make_topology<2>(tkind, procs, ranking.get());
-                // Payload estimate: per-rank coordinates plus the hop
-                // table only a dense-strategy fold would materialize
-                // (factorized kernels never touch p×p state).
-                std::size_t bytes =
-                    static_cast<std::size_t>(procs) * 2 * sizeof(topo::Rank);
-                if (planned_fold == topo::FoldStrategy::kDense) {
-                  bytes += static_cast<std::size_t>(procs) * procs *
-                           sizeof(std::uint32_t);
-                }
-                topo_node->bytes = bytes;
-                topo_node->output = std::move(net);
-                put_op(topo_node);
-                planned_of(SweepStage::kTopology).emplace(topo_key, topo_node);
-              }
-              const auto net = out_as<topo::Topology>(topo_node);
+              PlanNode* topology = plan(
+                  SweepStage::kTopology, topo_key, [] { return Deps{}; },
+                  [tkind, procs, rkind, planned_fold](const PlanNode&) {
+                    const obs::Span span(
+                        stage_span_name(SweepStage::kTopology));
+                    const auto ranking = make_curve<2>(rkind);
+                    std::shared_ptr<const topo::Topology> net =
+                        topo::make_topology<2>(tkind, procs, ranking.get());
+                    // Payload estimate: per-rank coordinates plus the hop
+                    // table only a dense-strategy fold would materialize
+                    // (factorized kernels never touch p×p state).
+                    std::size_t bytes = static_cast<std::size_t>(procs) * 2 *
+                                        sizeof(topo::Rank);
+                    if (planned_fold == topo::FoldStrategy::kDense) {
+                      bytes += static_cast<std::size_t>(procs) * procs *
+                               sizeof(std::uint32_t);
+                    }
+                    return Artifact{std::move(net), bytes};
+                  });
+              // Topologies are built here, on the coordinator: they are
+              // cheap, and their argument validation must throw from
+              // run_study, never inside a pool task.
+              if (topology->build) exec.build(*topology);
 
-              PlanNode* nfi_node = nullptr;
+              PlanNode* nfi = nullptr;
               if (s.near_field) {
-                const std::uint64_t nfi_key =
-                    key_of({instance_key, procs, s.radius,
-                            static_cast<std::uint64_t>(s.norm)});
-                find_op(SweepStage::kNfiHistogram, nfi_key);
-                if (const auto it = planned_of(SweepStage::kNfiHistogram)
-                                        .find(nfi_key);
-                    it != planned_of(SweepStage::kNfiHistogram).end()) {
-                  nfi_node = it->second;
-                } else {
-                  nfi_node = make_node(SweepStage::kNfiHistogram, nfi_key);
-                  if (!probe_store(nfi_node)) {
-                    nfi_node->build = [canonical, ordering = orderings[pc],
-                                       procs, radius = s.radius, norm = s.norm,
-                                       pool](PlanNode& n) {
+                nfi = plan(
+                    SweepStage::kNfiHistogram,
+                    key_of({curve_key, procs, s.radius,
+                            static_cast<std::uint64_t>(s.norm)}),
+                    needs_ordering,
+                    [canonical, ordering, procs, radius = s.radius,
+                     norm = s.norm, pool](const PlanNode&) {
                       const obs::Span span(
                           stage_span_name(SweepStage::kNfiHistogram));
                       const auto canon = out_as<CanonicalSample2>(canonical);
                       const auto ord = out_as<Ordering2>(ordering);
-                      // Owner of canonical particle i: the partition
-                      // chunk its curve rank falls in.
+                      // Owner of canonical particle i: the partition chunk
+                      // its curve rank falls in.
                       const fmm::Partition part(canon->particles.size(),
                                                 procs);
                       const std::vector<topo::Rank> by_rank =
                           part.owner_table();
-                      std::vector<topo::Rank> owners(
-                          canon->particles.size());
+                      std::vector<topo::Rank> owners(canon->particles.size());
                       for (std::size_t i = 0; i < owners.size(); ++i) {
                         owners[i] = by_rank[ord->rank[i]];
                       }
@@ -946,30 +792,16 @@ StudyResult run_reuse(const Study& s, const SweepOptions& o) {
                               canon->particles, canon->grid, owners, procs,
                               radius, norm, pool));
                       hist->seal();
-                      n.bytes = hist->memory_bytes();
-                      n.output = std::move(hist);
-                    };
-                    link(nfi_node, {canonical, orderings[pc]});
-                  }
-                  put_op(nfi_node);
-                  planned_of(SweepStage::kNfiHistogram)
-                      .emplace(nfi_key, nfi_node);
-                }
+                      return artifact_of(std::move(hist));
+                    });
               }
 
-              PlanNode* ffi_node = nullptr;
+              PlanNode* ffi = nullptr;
               if (s.far_field) {
-                const std::uint64_t ffi_key = key_of({instance_key, procs});
-                find_op(SweepStage::kFfiHistogram, ffi_key);
-                if (const auto it = planned_of(SweepStage::kFfiHistogram)
-                                        .find(ffi_key);
-                    it != planned_of(SweepStage::kFfiHistogram).end()) {
-                  ffi_node = it->second;
-                } else {
-                  ffi_node = make_node(SweepStage::kFfiHistogram, ffi_key);
-                  if (!probe_store(ffi_node)) {
-                    ffi_node->build = [instance = instances[pc], procs,
-                                       pool](PlanNode& n) {
+                ffi = plan(
+                    SweepStage::kFfiHistogram, key_of({curve_key, procs}),
+                    [&] { return Deps{instance}; },
+                    [instance, procs, pool](const PlanNode&) {
                       const obs::Span span(
                           stage_span_name(SweepStage::kFfiHistogram));
                       const auto inst = out_as<AcdInstance<2>>(instance);
@@ -979,71 +811,45 @@ StudyResult run_reuse(const Study& s, const SweepOptions& o) {
                           fmm::ffi_histograms<2>(inst->tree(), part, pool));
                       hist->interpolation.seal();
                       hist->interaction.seal();
-                      n.bytes = hist->memory_bytes();
-                      n.output = std::move(hist);
-                    };
-                    link(ffi_node, {instances[pc]});
-                  }
-                  put_op(ffi_node);
-                  planned_of(SweepStage::kFfiHistogram)
-                      .emplace(ffi_key, ffi_node);
-                }
+                      return artifact_of(std::move(hist));
+                    });
               }
 
-              // The fold: one per cell, never memory-cached or deduped
-              // in-plan, but keyed by its inputs (histograms ⊕ topology)
-              // so a warm store answers it — at warm-start the folds are
-              // the only remaining compute. It holds the topology
-              // directly (pre-materialized above), so its only graph
-              // dependencies are the histograms.
+              // The fold: keyed by its inputs (histograms ⊕ topology), so
+              // cells that share them share it and a warm store answers
+              // it — at warm-start the folds are the only remaining
+              // compute. Counted once per enabled model per cell.
               const std::uint64_t fold_key =
-                  key_of({nfi_node != nullptr ? nfi_node->raw_key : 0,
-                          ffi_node != nullptr ? ffi_node->raw_key : 0,
-                          topo_key});
-              PlanNode* fold = make_node(SweepStage::kFold, fold_key);
-              if (probe_store(fold)) {
-                group.push_back(
-                    DrainJob{result.index(d, pc, pi, rc, ti),
-                             StudyCellRef{d, t, pc, pi, rc_index, ti}, fold});
-                continue;
-              }
-              fold->build = [net, nfi_node, ffi_node](PlanNode& n) {
-                const std::uint64_t t0 = obs::now_ns();
-                const obs::Span span(stage_span_name(SweepStage::kFold));
-                auto out = std::make_shared<FoldOut>();
-                if (nfi_node != nullptr) {
-                  const auto hist = out_as<RankPairAccumulator>(nfi_node);
-                  out->nfi_acd = net->fold(hist->view()).acd();
-                  out->has_nfi = true;
-                }
-                if (ffi_node != nullptr) {
-                  const auto hist = out_as<fmm::FfiHistograms>(ffi_node);
-                  out->ffi_acd = fmm::ffi_fold(*hist, *net).total().acd();
-                  out->has_ffi = true;
-                }
-                out->ms = static_cast<double>(obs::now_ns() - t0) / 1e6;
-                n.bytes = sizeof(FoldOut);
-                n.output = std::move(out);
-              };
-              link(fold, {nfi_node, ffi_node});
-              group.push_back(DrainJob{result.index(d, pc, pi, rc, ti),
+                  key_of({nfi != nullptr ? nfi->key : 0,
+                          ffi != nullptr ? ffi->key : 0, topo_key});
+              PlanNode* fold = plan(
+                  SweepStage::kFold, fold_key,
+                  [&] { return Deps{nfi, ffi, topology}; },
+                  [nfi, ffi, topology](const PlanNode&) {
+                    const std::uint64_t t0 = obs::now_ns();
+                    const obs::Span span(stage_span_name(SweepStage::kFold));
+                    const auto net = out_as<topo::Topology>(topology);
+                    auto out = std::make_shared<FoldOut>();
+                    if (nfi != nullptr) {
+                      const auto hist = out_as<RankPairAccumulator>(nfi);
+                      out->nfi_acd = net->fold(hist->view()).acd();
+                      out->has_nfi = true;
+                    }
+                    if (ffi != nullptr) {
+                      const auto hist = out_as<fmm::FfiHistograms>(ffi);
+                      out->ffi_acd = fmm::ffi_fold(*hist, *net).total().acd();
+                      out->has_ffi = true;
+                    }
+                    out->ms = static_cast<double>(obs::now_ns() - t0) / 1e6;
+                    return artifact_of(
+                        std::shared_ptr<const FoldOut>(std::move(out)));
+                  });
+              result.sweep.stage(SweepStage::kFold).misses +=
+                  (s.near_field ? 1u : 0u) + (s.far_field ? 1u : 0u);
+              drain.push_back(DrainJob{result.index(d, pc, pi, rc, ti),
                                        StudyCellRef{d, t, pc, pi, rc_index, ti},
                                        fold});
             }
-          }
-
-          // The serial engine counts the fold traffic after the group's
-          // prefetch, one tick per model per cell.
-          for (const DrainJob& job : group) {
-            if (s.near_field) {
-              ops.push_back(CacheOp{CacheOp::kCountFold, SweepStage::kFold, 0,
-                                    nullptr});
-            }
-            if (s.far_field) {
-              ops.push_back(CacheOp{CacheOp::kCountFold, SweepStage::kFold, 0,
-                                    nullptr});
-            }
-            drain.push_back(job);
           }
         }
       }
@@ -1051,113 +857,13 @@ StudyResult run_reuse(const Study& s, const SweepOptions& o) {
   }
 
   // ---- execute ----------------------------------------------------
-  // Everything not pre-materialized at plan time runs here. Both paths
-  // seed the ready roots and let completions cascade through the
-  // dependency counters; the parallel path additionally has the
-  // coordinator help drain the pool's queue.
-  std::vector<PlanNode*> runnable;
-  runnable.reserve(nodes.size());
-  for (PlanNode& n : nodes) {
-    if (n.output == nullptr) runnable.push_back(&n);
-  }
-  if (!parallel) {
-    std::vector<PlanNode*> ready;
-    ready.reserve(runnable.size());
-    for (PlanNode* n : runnable) {
-      if (n->pending.load(std::memory_order_relaxed) == 0) {
-        ready.push_back(n);
-      }
-    }
-    for (std::size_t i = 0; i < ready.size(); ++i) {
-      PlanNode* n = ready[i];
-      n->build(*n);
-      for (PlanNode* c : n->consumers) {
-        if (c->pending.fetch_sub(1, std::memory_order_relaxed) == 1) {
-          ready.push_back(c);
-        }
-      }
-    }
-  } else if (!runnable.empty()) {
-    struct Exec {
-      util::ThreadPool* pool;
-      util::Latch* done;
-      void run(PlanNode* n) const {
-        n->build(*n);
-        for (PlanNode* c : n->consumers) {
-          // acq_rel: the consumer's build must observe every producer
-          // output, whichever thread decrements last.
-          if (c->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-            pool->submit([this, c] { run(c); });
-          }
-        }
-        done->count_down();
-      }
-    };
-    util::Latch done(runnable.size());
-    const Exec exec{pool, &done};
-    // Snapshot the roots before submitting any of them: once a root
-    // runs, its completions decrement consumers toward zero, and a
-    // live scan would re-submit those as roots.
-    std::vector<PlanNode*> roots;
-    for (PlanNode* n : runnable) {
-      if (n->pending.load(std::memory_order_relaxed) == 0) {
-        roots.push_back(n);
-      }
-    }
-    for (PlanNode* n : roots) {
-      pool->submit([&exec, n] { exec.run(n); });
-    }
-    done.wait_and_help(util::can_help(*pool) ? pool : nullptr);
-  }
-
-  // ---- account ----------------------------------------------------
-  // Replay the recorded cache traffic through the real cache on this
-  // one thread: hit/miss/eviction counters, byte accounting, and the
-  // spill stream are exactly what the serial engine would have
-  // produced, independent of how execution was scheduled.
-  if (store != nullptr) {
-    cache.set_spill_hook([store](SweepStage stage, std::uint64_t raw_key,
-                                 const std::shared_ptr<const void>& value,
-                                 std::size_t) {
-      if (!store_persistable(stage) || value == nullptr) return;
-      if (store->contains(stage, raw_key)) return;
-      const std::vector<std::uint8_t> payload =
-          serialize_artifact(stage, value.get());
-      store->save(stage, raw_key, payload.data(), payload.size());
-    });
-  }
-  for (const CacheOp& op : ops) {
-    switch (op.kind) {
-      case CacheOp::kFind:
-        (void)cache.find<void>(op.stage, op.raw_key);
-        break;
-      case CacheOp::kPut:
-        cache.put<void>(op.stage, op.raw_key, op.node->output,
-                        op.node->bytes);
-        break;
-      case CacheOp::kCountFold:
-        cache.count_fold();
-        break;
-    }
-  }
-
-  // Flush: every persistable artifact this run computed lands on disk
-  // (spilled evictions and store-loaded nodes are already there), so a
-  // warm rerun deserializes instead of recomputing.
-  if (store != nullptr) {
-    for (const PlanNode& n : nodes) {
-      if (!store_persistable(n.stage) || n.from_store || !n.output) continue;
-      if (store->contains(n.stage, n.raw_key)) continue;
-      const std::vector<std::uint8_t> payload =
-          serialize_artifact(n.stage, n.output.get());
-      store->save(n.stage, n.raw_key, payload.data(), payload.size());
-    }
-    store->publish_metrics();
-  }
+  execute(nodes, exec, pool);
+  exec.rethrow_failure();
+  if (store != nullptr) store->publish_metrics();
 
   // ---- drain ------------------------------------------------------
   // Results, statistics, and progress callbacks in plan (= grid) order:
-  // the float accumulation order matches the serial engine exactly, so
+  // the float accumulation order matches the direct path exactly, so
   // cells are bit-identical whatever the thread count.
   for (const DrainJob& job : drain) {
     const auto out = out_as<FoldOut>(job.fold);
@@ -1172,7 +878,8 @@ StudyResult run_reuse(const Study& s, const SweepOptions& o) {
     if (o.progress) o.progress(job.ref, out->ms);
   }
 
-  result.sweep = cache.stats();
+  result.sweep.bytes = exec.bytes();
+  result.sweep.peak_bytes = exec.peak_bytes();
   publish_sweep_metrics(result.sweep);
   if (obs::metrics_enabled() && order_build_particles.load() > 0) {
     obs::Registry::instance()
@@ -1262,11 +969,6 @@ StudyResult run_study(const Study& study, const SweepOptions& options) {
 
 namespace {
 
-/// Everything run_dynamics caches per step (one kDelta artifact).
-struct DynamicsStepArtifact {
-  DynamicsStepResult result;
-};
-
 /// Scenario half of the delta-stage key: every parameter the trajectory
 /// depends on. The step loop then chains each batch's (index, target)
 /// pairs on top, so a key names one exact prefix of one exact trajectory.
@@ -1344,6 +1046,7 @@ DynamicsResult run_dynamics(const DynamicsStudy& study,
     for (const auto& batch : history) apply_batch(batch);
   };
 
+  StageCounters& delta = result.sweep.stage(SweepStage::kDelta);
   std::uint64_t chain = dynamics_base_key(study);
   for (unsigned s = 0; s < study.steps; ++s) {
     const std::vector<ParticleMove2> moves = drift_moves<2>(
@@ -1354,17 +1057,19 @@ DynamicsResult run_dynamics(const DynamicsStudy& study,
     }
     const std::uint64_t step_key = sweep_key(chain, s);
 
-    std::shared_ptr<const DynamicsStepArtifact> art;
+    const DynamicsStepResult* cached = nullptr;
     if (options.cache != nullptr) {
-      art = options.cache->find<DynamicsStepArtifact>(SweepStage::kDelta,
-                                                      step_key);
+      const auto it = options.cache->find(step_key);
+      if (it != options.cache->end()) cached = &it->second;
+      ++(cached != nullptr ? delta.hits : delta.misses);
     }
-    if (!art) {
+    if (cached != nullptr) {
+      result.steps.push_back(*cached);
+    } else {
       const obs::Span span(stage_span_name(SweepStage::kDelta));
       materialize();
       apply_batch(moves);
-      auto built = std::make_shared<DynamicsStepArtifact>();
-      DynamicsStepResult& r = built->result;
+      DynamicsStepResult& r = result.steps.emplace_back();
       r.moves = moves.size();
       r.frozen_nfi = frozen->nfi(*net);
       r.frozen_ffi = frozen->ffi(*net);
@@ -1380,23 +1085,14 @@ DynamicsResult run_dynamics(const DynamicsStudy& study,
       r.reorder_nfi =
           inst.nfi(part, *net, study.radius, study.norm, options.pool);
       r.reorder_ffi = inst.ffi(part, *net, options.pool);
-      if (options.cache != nullptr) {
-        options.cache->put<DynamicsStepArtifact>(
-            SweepStage::kDelta, step_key, built,
-            sizeof(DynamicsStepArtifact));
-      }
-      art = built;
+      if (options.cache != nullptr) options.cache->emplace(step_key, r);
     }
 
     for (const ParticleMove2& mv : moves) positions[mv.index] = mv.to;
     history.push_back(moves);
-    result.steps.push_back(art->result);
   }
 
-  if (options.cache != nullptr) {
-    result.sweep = options.cache->stats();
-    publish_sweep_metrics(result.sweep);
-  }
+  if (options.cache != nullptr) publish_sweep_metrics(result.sweep);
   return result;
 }
 

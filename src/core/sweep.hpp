@@ -8,38 +8,35 @@
 // by the NFI/FFI models depend only on (sample, particle order, p,
 // radius), not on the topology or processor order, which only enter the
 // final p²-bounded fold. The engine decomposes a declarative Study into
-// content-hash-keyed stage artifacts, memoizes them in a byte-budgeted
-// LRU (optionally backed by the on-disk ArtifactStore tier), and
-// schedules the whole study as a task graph on the ThreadPool — every
-// stage node is a task with hash-keyed dependencies, so independent
-// cells run concurrently end-to-end while Table I's four
-// processor-order rows and Figure 6's six topologies still fold the
-// *same* histograms instead of re-running the O(n·window) enumeration. The spatial side of a sample is factored out
-// once per (distribution, trial) as a cell-sorted *canonical* copy with
-// its occupancy grid; each curve then contributes only a rank table (a
-// linear-time bucket argsort of its cell indices), the NFI events are
-// enumerated over the canonical copy with explicit owners, and the
-// curve-sorted AcdInstance (needed by the FFI tree walk alone) is built
-// by scattering through the rank table instead of re-sorting. Folds sum
-// exact integers, so engine results are bit-identical to evaluating
-// every cell from scratch (SweepOptions::reuse = false, which is also
-// the speedup baseline).
+// content-hash-keyed stage artifacts and runs it in three steps: plan
+// one deduplicated task graph (one node per distinct artifact, counted
+// into SweepStats as it is planned, loaded from the optional on-disk
+// ArtifactStore when it holds the key), execute the graph on the
+// ThreadPool (each node's output is freed once its last consumer has
+// finished), and drain the cells in grid order. Independent cells run
+// concurrently end-to-end while Table I's four processor-order rows and
+// Figure 6's six topologies still fold the *same* histograms instead of
+// re-running the O(n·window) enumeration. The spatial side of a sample
+// is factored out once per (distribution, trial) as a cell-sorted
+// *canonical* copy with its occupancy grid; each curve then contributes
+// only a rank table (a linear-time bucket argsort of its cell indices),
+// the NFI events are enumerated over the canonical copy with explicit
+// owners, and the curve-sorted AcdInstance (needed by the FFI tree walk
+// alone) is built by scattering through the rank table instead of
+// re-sorting. Folds sum exact integers, so engine results are
+// bit-identical to evaluating every cell from scratch
+// (SweepOptions::reuse = false, which is also the speedup baseline).
 //
 // docs/architecture.md describes the stage DAG, key derivations, and
 // invalidation rules.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "core/acd.hpp"
@@ -49,9 +46,9 @@ namespace sfc::core {
 
 // ------------------------------------------------------------- stage plumbing
 
-/// The pipeline stages whose outputs the engine caches (kFold executes
-/// per cell and is counted but not stored — fold keys never repeat
-/// within a study grid).
+/// The pipeline stages whose artifacts the engine plans, counts and
+/// shares between cells (kDelta is run_dynamics' per-step result; kFold
+/// counts once per enabled model per cell, however many cells share it).
 enum class SweepStage : unsigned {
   kSample = 0,       ///< (distribution, n, level, seed, trial) -> particles
   kCanonical,        ///< (sample) -> cell-sorted copy + occupancy grid
@@ -72,8 +69,9 @@ struct StageCounters {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
 
-  /// Fraction of lookups served from the cache (0 when the stage never
-  /// ran). Published as the sweep.stage.<name>.hit_ratio metrics gauge.
+  /// Fraction of requests answered by an artifact already planned (0
+  /// when the stage never ran). Published as the
+  /// sweep.stage.<name>.hit_ratio metrics gauge.
   double hit_ratio() const noexcept {
     const std::uint64_t total = hits + misses;
     return total == 0 ? 0.0
@@ -82,31 +80,25 @@ struct StageCounters {
   }
 };
 
-/// Cache accounting for one engine run. Counter *totals* are
-/// deterministic — the engine plans every lookup in grid order and
-/// replays the accounting sequence on the coordinating thread — but
-/// under the concurrent scheduler the wall-clock moment a given stage's
-/// build runs (and therefore per-stage *attribution order* in traces) is
-/// scheduling-dependent. See docs/architecture.md, "Cell-graph
-/// scheduling".
+/// Artifact accounting for one engine run. The counters are fixed by the
+/// plan: the first request for a (stage, key) is a miss — a build or a
+/// store load — and every later request a hit; kFold counts one miss per
+/// enabled model per cell. They depend only on the study (and the
+/// store's contents), never on the thread count. `bytes` sums the
+/// artifacts' memory_bytes() (a histogram built on a pool may hold a
+/// little more or less capacity than a serial one); `peak_bytes` is
+/// measured, so under a pool it depends on scheduling. See
+/// docs/architecture.md, "Cell-graph scheduling".
 struct SweepStats {
   StageCounters stages[kSweepStageCount];
-  std::uint64_t evictions = 0;
-  std::size_t bytes = 0;       ///< resident artifact bytes after the run
-  std::size_t peak_bytes = 0;  ///< high-water mark during the run
-  /// Resident bytes split by producing stage (sums to `bytes`). Answers
-  /// "what is the budget actually holding?" — published as the
-  /// sweep.cache.stage.<name>.bytes gauges.
-  std::size_t stage_bytes[kSweepStageCount] = {};
+  std::size_t bytes = 0;       ///< total bytes of artifacts materialized
+  std::size_t peak_bytes = 0;  ///< high-water mark of live artifact bytes
 
   const StageCounters& stage(SweepStage s) const noexcept {
     return stages[static_cast<unsigned>(s)];
   }
   StageCounters& stage(SweepStage s) noexcept {
     return stages[static_cast<unsigned>(s)];
-  }
-  std::size_t bytes_of(SweepStage s) const noexcept {
-    return stage_bytes[static_cast<unsigned>(s)];
   }
   std::uint64_t total_hits() const noexcept {
     std::uint64_t n = 0;
@@ -134,127 +126,6 @@ constexpr std::uint64_t sweep_mix(std::uint64_t x) noexcept {
 constexpr std::uint64_t sweep_key(std::uint64_t h, std::uint64_t v) noexcept {
   return sweep_mix(h ^ sweep_mix(v));
 }
-
-/// Thread-safe LRU artifact cache with byte-budget eviction and atomic
-/// per-stage hit/miss counters. The key space is sharded across
-/// independently-locked hash maps (keys are splitmix64-mixed, so any
-/// shard selection bits are uniform); recency is a global atomic touch
-/// sequence, which makes eviction order *exactly* the single LRU list's
-/// whenever operations are serialized (the unit tests pin that), and a
-/// consistent least-recently-touched choice under concurrency.
-/// Evictions run under one eviction mutex and may invoke a spill hook —
-/// the bridge to the disk-backed ArtifactStore tier. The sweep engine
-/// serializes its accounting traffic (plan-order replay on the
-/// coordinator), so SweepStats stays deterministic regardless of thread
-/// count; the locking here is what lets dynamics replays, tests, and
-/// future query servers share one cache across threads.
-class ArtifactCache {
- public:
-  /// Eviction spill hook: (stage, un-mixed stage key, artifact, payload
-  /// bytes). Runs outside the shard locks (the hook may do IO).
-  using SpillFn =
-      std::function<void(SweepStage, std::uint64_t,
-                         const std::shared_ptr<const void>&, std::size_t)>;
-
-  explicit ArtifactCache(std::size_t byte_budget) : budget_(byte_budget) {}
-
-  ArtifactCache(const ArtifactCache&) = delete;
-  ArtifactCache& operator=(const ArtifactCache&) = delete;
-
-  /// Install the eviction spill hook. Not thread-safe against concurrent
-  /// cache traffic — set it before the cache is shared.
-  void set_spill_hook(SpillFn hook) { spill_ = std::move(hook); }
-
-  /// Artifact under (stage, key), building it via `make` on a miss.
-  /// `make` returns {artifact, payload bytes}. The returned pointer stays
-  /// valid across later evictions (shared ownership).
-  template <typename T, typename MakeFn>
-  std::shared_ptr<const T> get(SweepStage stage, std::uint64_t key,
-                               MakeFn&& make) {
-    if (auto found = find<T>(stage, key)) return found;
-    std::pair<std::shared_ptr<const T>, std::size_t> made = make();
-    put<T>(stage, key, made.first, made.second);
-    return made.first;
-  }
-
-  /// Lookup half of get(): counts the hit or miss, returns nullptr on a
-  /// miss. Lets the engine batch miss-builds onto the ThreadPool while
-  /// the counter sequence stays exactly the serial grid order.
-  template <typename T>
-  std::shared_ptr<const T> find(SweepStage stage, std::uint64_t key) {
-    key = sweep_key(static_cast<std::uint64_t>(stage), key);
-    return std::static_pointer_cast<const T>(lookup(stage, key));
-  }
-
-  /// Store half of get(): no counter traffic (the find() that missed
-  /// already counted).
-  template <typename T>
-  void put(SweepStage stage, std::uint64_t key,
-           std::shared_ptr<const T> value, std::size_t bytes) {
-    const std::uint64_t mixed =
-        sweep_key(static_cast<std::uint64_t>(stage), key);
-    insert(stage, mixed, key, std::move(value), bytes);
-  }
-
-  /// Count a per-cell fold execution (computed, never stored).
-  void count_fold() noexcept {
-    misses_[static_cast<unsigned>(SweepStage::kFold)].fetch_add(
-        1, std::memory_order_relaxed);
-  }
-
-  std::size_t budget() const noexcept { return budget_; }
-  /// Counter snapshot (each field individually atomic; a snapshot taken
-  /// while traffic is in flight is internally consistent only once the
-  /// traffic quiesces — every engine path reads it after its barrier).
-  SweepStats stats() const;
-
- private:
-  struct Entry {
-    std::shared_ptr<const void> value;
-    std::size_t bytes = 0;
-    SweepStage stage = SweepStage::kSample;
-    /// The caller's un-mixed stage key — what the spill hook needs to
-    /// address the same artifact in the ArtifactStore.
-    std::uint64_t raw_key = 0;
-    /// Span-clock time of insertion or last hit; feeds the
-    /// sweep.cache.eviction_age_ns histogram (how long a victim sat cold
-    /// before eviction — the signal that the budget is too small).
-    std::uint64_t last_touch_ns = 0;
-    /// Global recency stamp: larger = touched more recently. The victim
-    /// scan evicts the minimum, which reproduces list-LRU order exactly.
-    std::uint64_t touch_seq = 0;
-  };
-
-  static constexpr std::size_t kShardCount = 16;
-  struct Shard {
-    mutable std::mutex mutex;
-    std::unordered_map<std::uint64_t, Entry> map;
-  };
-
-  Shard& shard_of(std::uint64_t mixed_key) noexcept {
-    return shards_[mixed_key % kShardCount];
-  }
-
-  std::shared_ptr<const void> lookup(SweepStage stage, std::uint64_t key);
-  void insert(SweepStage stage, std::uint64_t key, std::uint64_t raw_key,
-              std::shared_ptr<const void> value, std::size_t bytes);
-  void evict_to_budget();
-
-  std::size_t budget_;
-  SpillFn spill_;
-  std::array<Shard, kShardCount> shards_;
-  std::atomic<std::uint64_t> touch_seq_{0};
-  std::atomic<std::uint64_t> hits_[kSweepStageCount]{};
-  std::atomic<std::uint64_t> misses_[kSweepStageCount]{};
-  std::atomic<std::uint64_t> evictions_{0};
-  std::atomic<std::size_t> bytes_{0};
-  std::atomic<std::size_t> peak_bytes_{0};
-  std::atomic<std::size_t> stage_bytes_[kSweepStageCount]{};
-  std::atomic<std::size_t> entries_{0};
-  /// Serializes victim selection (the scan-and-remove would otherwise
-  /// race two inserters into double-evicting).
-  std::mutex evict_mutex_;
-};
 
 // ------------------------------------------------------------- study grammar
 
@@ -325,25 +196,19 @@ struct StudyCellRef {
 using CellProgressFn =
     std::function<void(const StudyCellRef&, double elapsed_ms)>;
 
-/// Default artifact budget: 1 GiB comfortably holds a paper-scale
-/// sweep's working set (the biggest artifacts are one AcdInstance per
-/// particle curve at ~50 MiB for n = 10^6).
-inline constexpr std::size_t kDefaultSweepCacheBytes = std::size_t{1} << 30;
-
 class ArtifactStore;
 
 struct SweepOptions {
   util::ThreadPool* pool = nullptr;  ///< parallelism (cell graph + kernels)
-  std::size_t cache_bytes = kDefaultSweepCacheBytes;
   /// false = evaluate every cell from scratch (no artifact reuse): the
   /// legacy per-cell pipeline, kept as the equivalence oracle and the
   /// speedup baseline. Results are bit-identical either way.
   bool reuse = true;
   CellProgressFn progress;
-  /// Optional disk tier (reuse path only): stage artifacts missing from
-  /// the in-memory cache are probed here before being recomputed, and
-  /// every persistable artifact this run materializes is written back.
-  /// Results are bit-identical with or without a store, warm or cold.
+  /// Optional disk tier (reuse path only): every persistable artifact is
+  /// probed here before it is planned as a build, and every one this run
+  /// builds is written back right after its build. Results are
+  /// bit-identical with or without a store, warm or cold.
   ArtifactStore* store = nullptr;
 };
 
@@ -354,7 +219,7 @@ struct StudyResult {
   std::vector<AcdCell> cells;
   /// Matching across-trial statistics (same indexing).
   std::vector<AcdCellStats> stats;
-  /// Cache accounting (all-zero when SweepOptions::reuse was false).
+  /// Artifact accounting (all-zero when SweepOptions::reuse was false).
   SweepStats sweep;
 
   std::size_t index(std::size_t d, std::size_t pc, std::size_t pi,
@@ -383,7 +248,9 @@ struct StudyResult {
 /// parallelism never change the arithmetic (integer histogram sums
 /// commute), only the wall clock. Invalid grid parameters (e.g. a torus
 /// size that is not a power of 4) surface as std::invalid_argument from
-/// the coordinating thread.
+/// the coordinating thread, and so does the first exception a stage
+/// build throws (e.g. std::runtime_error for a malformed store payload),
+/// after every task of the run has finished.
 StudyResult run_study(const Study& study, const SweepOptions& options = {});
 
 // ---------------------------------------------------------------- dynamics
@@ -434,18 +301,18 @@ struct DynamicsStepResult {
 struct DynamicsResult {
   DynamicsStudy study;
   std::vector<DynamicsStepResult> steps;
-  /// Delta-stage cache accounting (zero when no cache was supplied).
+  /// This run's kDelta hits and misses (zero when no cache was supplied).
   SweepStats sweep;
 };
 
 struct DynamicsOptions {
   util::ThreadPool* pool = nullptr;
-  /// Optional cross-run artifact store. Each step's results are cached
-  /// under SweepStage::kDelta keyed by the scenario parameters chained
-  /// with the cumulative move-set hash, so re-running the same trajectory
-  /// (or extending it by more steps) replays cached prefixes without
-  /// touching the engines. Totals are bit-identical either way.
-  ArtifactCache* cache = nullptr;
+  /// Optional cross-run step cache. Each step's results are stored keyed
+  /// by the scenario parameters chained with the cumulative move-set
+  /// hash, so re-running the same trajectory (or extending it by more
+  /// steps) replays cached prefixes without touching the engines. Totals
+  /// are bit-identical either way.
+  std::unordered_map<std::uint64_t, DynamicsStepResult>* cache = nullptr;
 };
 
 /// Evolve one dynamics trajectory. Deterministic in the study parameters;

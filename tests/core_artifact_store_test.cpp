@@ -1,7 +1,8 @@
 // Unit tests for the persistent artifact store: crash-safe writes,
 // validated mmap reads, and the contract that every failure mode —
 // absent file, truncation, bit rot, version skew, foreign build — is a
-// silent miss, never an error.
+// silent miss, never an error. A payload that passes every check but
+// does not decode is the exception: run_study raises it.
 #include "core/artifact_store.hpp"
 
 #include <gtest/gtest.h>
@@ -11,10 +12,13 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/sweep.hpp"
+#include "util/thread_pool.hpp"
 
 namespace sfc::core {
 namespace {
@@ -294,6 +298,60 @@ TEST_F(ArtifactStoreTest, JsonSnapshotCarriesTheCounters) {
   EXPECT_NE(json.find("\"hits\":1"), std::string::npos);
   EXPECT_NE(json.find("\"spills\":1"), std::string::npos);
   EXPECT_NE(json.find("\"resident_files\":1"), std::string::npos);
+}
+
+TEST_F(ArtifactStoreTest, UndecodablePayloadIsRaisedByRunStudy) {
+  // A store file whose header is valid for a payload that does not
+  // decode (a forged file or a producer bug) must surface as an error
+  // from run_study, serially and from inside a pool task alike.
+  Study s;
+  s.particles = 300;
+  s.level = 5;
+  s.seed = 3;
+  s.particle_curves = {CurveKind::kHilbert, CurveKind::kMorton};
+  s.far_field = false;
+  s.proc_counts = {16};
+  {
+    ArtifactStore store(options());
+    SweepOptions cold;
+    cold.store = &store;
+    (void)run_study(s, cold);
+  }
+  fs::path hist;
+  for (const auto& entry : fs::directory_iterator(dir_)) {
+    if (entry.path().filename().string().rfind("nfi_histogram-", 0) == 0) {
+      hist = entry.path();
+    }
+  }
+  ASSERT_FALSE(hist.empty());
+  // Drop the payload's last 8 bytes, then restamp the header's length
+  // (offset 32) and checksum (offset 40) so the file validates.
+  std::vector<char> file;
+  {
+    std::ifstream in(hist, std::ios::binary);
+    file.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_GT(file.size(), 48u + 8u);
+  file.resize(file.size() - 8);
+  const std::uint64_t length = file.size() - 48;
+  const std::uint64_t sum = ArtifactStore::checksum(file.data() + 48, length);
+  std::memcpy(file.data() + 32, &length, sizeof length);
+  std::memcpy(file.data() + 40, &sum, sizeof sum);
+  {
+    std::ofstream out(hist, std::ios::binary | std::ios::trunc);
+    out.write(file.data(), static_cast<std::streamsize>(file.size()));
+  }
+
+  util::ThreadPool pool(4);
+  for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+    ArtifactStore store(options());
+    SweepOptions warm;
+    warm.store = &store;
+    warm.pool = p;
+    EXPECT_THROW((void)run_study(s, warm), std::runtime_error)
+        << (p == nullptr ? "serial" : "pooled");
+    EXPECT_EQ(store.stats().corrupt, 0u);
+  }
 }
 
 }  // namespace

@@ -1,16 +1,15 @@
 // Sweep-engine tests at toy scale: the artifact-reusing path must be
-// bit-identical to evaluating every cell from scratch, the cache
-// counters must match the grid combinatorics exactly (traffic is
-// deterministic — all of it happens on the coordinating thread in grid
-// order), and eviction under a tiny byte budget must change only the
-// accounting, never the results.
+// bit-identical to evaluating every cell from scratch, the hit/miss
+// counters must match the grid combinatorics exactly (they are counted
+// while the plan is built, in grid order), and the serial schedule must
+// free each row's artifacts before the next row starts.
 #include "core/sweep.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <memory>
 #include <stdexcept>
+#include <unordered_map>
 #include <vector>
 
 #include "util/thread_pool.hpp"
@@ -73,100 +72,19 @@ void expect_bit_identical(const StudyResult& a, const StudyResult& b) {
   }
 }
 
-// --------------------------------------------------------- cache plumbing
-
-TEST(ArtifactCache, CountsHitsAndMisses) {
-  ArtifactCache cache(1 << 20);
-  int builds = 0;
-  auto make = [&builds] {
-    ++builds;
-    return std::pair{std::make_shared<const int>(42), sizeof(int)};
-  };
-  const auto a = cache.get<int>(SweepStage::kSample, 7, make);
-  const auto b = cache.get<int>(SweepStage::kSample, 7, make);
-  EXPECT_EQ(builds, 1);
-  EXPECT_EQ(a.get(), b.get());
-  EXPECT_EQ(cache.stats().stage(SweepStage::kSample).misses, 1u);
-  EXPECT_EQ(cache.stats().stage(SweepStage::kSample).hits, 1u);
-}
-
-TEST(ArtifactCache, SameKeyDifferentStageIsDistinct) {
-  ArtifactCache cache(1 << 20);
-  auto make1 = [] {
-    return std::pair{std::make_shared<const int>(1), sizeof(int)};
-  };
-  auto make2 = [] {
-    return std::pair{std::make_shared<const int>(2), sizeof(int)};
-  };
-  const auto a = cache.get<int>(SweepStage::kSample, 7, make1);
-  const auto b = cache.get<int>(SweepStage::kInstance, 7, make2);
-  EXPECT_EQ(*a, 1);
-  EXPECT_EQ(*b, 2);
-  EXPECT_EQ(cache.stats().total_misses(), 2u);
-  EXPECT_EQ(cache.stats().total_hits(), 0u);
-}
-
-TEST(ArtifactCache, EvictsLeastRecentlyUsedWithinBudget) {
-  // Budget fits two 100-byte artifacts; inserting a third evicts the
-  // coldest. Touching key 1 between inserts protects it.
-  ArtifactCache cache(200);
-  auto make = [](int v) {
-    return [v] {
-      return std::pair{std::make_shared<const int>(v), std::size_t{100}};
-    };
-  };
-  cache.get<int>(SweepStage::kSample, 1, make(1));
-  cache.get<int>(SweepStage::kSample, 2, make(2));
-  cache.get<int>(SweepStage::kSample, 1, make(1));  // 1 becomes MRU
-  cache.get<int>(SweepStage::kSample, 3, make(3));  // evicts 2
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_EQ(cache.stats().bytes, 200u);
-  cache.get<int>(SweepStage::kSample, 1, make(1));
-  EXPECT_EQ(cache.stats().stage(SweepStage::kSample).hits, 2u);
-  cache.get<int>(SweepStage::kSample, 2, make(2));  // was evicted: a miss
-  EXPECT_EQ(cache.stats().stage(SweepStage::kSample).misses, 4u);
-}
-
-TEST(ArtifactCache, OversizedArtifactStaysResidentAlone) {
-  ArtifactCache cache(10);
-  auto big = [] {
-    return std::pair{std::make_shared<const int>(9), std::size_t{1000}};
-  };
-  const auto kept = cache.get<int>(SweepStage::kSample, 1, big);
-  EXPECT_EQ(*kept, 9);
-  EXPECT_EQ(cache.stats().evictions, 0u);
-  EXPECT_EQ(cache.stats().bytes, 1000u);
-  // The next insert evicts it (it is then the cold entry).
-  cache.get<int>(SweepStage::kSample, 2, big);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-}
-
-TEST(ArtifactCache, PinnedPointerSurvivesEviction) {
-  ArtifactCache cache(100);
-  auto make = [](int v) {
-    return [v] {
-      return std::pair{std::make_shared<const int>(v), std::size_t{100}};
-    };
-  };
-  const auto pinned = cache.get<int>(SweepStage::kSample, 1, make(5));
-  cache.get<int>(SweepStage::kSample, 2, make(6));  // evicts key 1
-  EXPECT_EQ(cache.stats().evictions, 1u);
-  EXPECT_EQ(*pinned, 5);  // shared ownership keeps the artifact alive
-}
-
 // ------------------------------------------------------------ equivalence
 
 TEST(SweepEngine, CombinationGridMatchesDirectBitForBit) {
   const Study s = toy_combination_study();
-  const SweepOptions reuse{nullptr, kDefaultSweepCacheBytes, true, {}};
-  const SweepOptions direct{nullptr, kDefaultSweepCacheBytes, false, {}};
+  const SweepOptions reuse{nullptr, true, {}};
+  const SweepOptions direct{nullptr, false, {}};
   expect_bit_identical(run_study(s, reuse), run_study(s, direct));
 }
 
 TEST(SweepEngine, TopologyGridMatchesDirectBitForBit) {
   const Study s = toy_topology_study();
-  const SweepOptions reuse{nullptr, kDefaultSweepCacheBytes, true, {}};
-  const SweepOptions direct{nullptr, kDefaultSweepCacheBytes, false, {}};
+  const SweepOptions reuse{nullptr, true, {}};
+  const SweepOptions direct{nullptr, false, {}};
   expect_bit_identical(run_study(s, reuse), run_study(s, direct));
 }
 
@@ -174,8 +92,8 @@ TEST(SweepEngine, MultiTrialMatchesDirectBitForBit) {
   Study s = toy_combination_study();
   s.trials = 3;
   s.distributions = {dist::DistKind::kExponential};
-  const SweepOptions reuse{nullptr, kDefaultSweepCacheBytes, true, {}};
-  const SweepOptions direct{nullptr, kDefaultSweepCacheBytes, false, {}};
+  const SweepOptions reuse{nullptr, true, {}};
+  const SweepOptions direct{nullptr, false, {}};
   const auto a = run_study(s, reuse);
   const auto b = run_study(s, direct);
   expect_bit_identical(a, b);
@@ -196,16 +114,16 @@ TEST(SweepEngine, SparseHistogramsMatchDirectBitForBit) {
   Study s = toy_combination_study();
   s.distributions = {dist::DistKind::kUniform};
   s.proc_counts = {4096};
-  const SweepOptions reuse{nullptr, kDefaultSweepCacheBytes, true, {}};
-  const SweepOptions direct{nullptr, kDefaultSweepCacheBytes, false, {}};
+  const SweepOptions reuse{nullptr, true, {}};
+  const SweepOptions direct{nullptr, false, {}};
   expect_bit_identical(run_study(s, reuse), run_study(s, direct));
 }
 
 TEST(SweepEngine, ThreadedFoldsMatchSerialBitForBit) {
   const Study s = toy_topology_study();
   util::ThreadPool pool(4);
-  const SweepOptions threaded{&pool, kDefaultSweepCacheBytes, true, {}};
-  const SweepOptions serial{nullptr, kDefaultSweepCacheBytes, true, {}};
+  const SweepOptions threaded{&pool, true, {}};
+  const SweepOptions serial{nullptr, true, {}};
   expect_bit_identical(run_study(s, threaded), run_study(s, serial));
 }
 
@@ -214,25 +132,24 @@ TEST(SweepEngine, ScalingAxisMatchesDirectBitForBit) {
   s.name = "toy_scaling";
   s.topologies = {topo::TopologyKind::kTorus};
   s.proc_counts = {16, 64, 256};
-  const SweepOptions reuse{nullptr, kDefaultSweepCacheBytes, true, {}};
-  const SweepOptions direct{nullptr, kDefaultSweepCacheBytes, false, {}};
+  const SweepOptions reuse{nullptr, true, {}};
+  const SweepOptions direct{nullptr, false, {}};
   expect_bit_identical(run_study(s, reuse), run_study(s, direct));
 }
 
-// ------------------------------------------------------- cache accounting
+// ---------------------------------------------------- artifact accounting
 
 TEST(SweepEngine, CombinationGridCacheCounts) {
   // 2 distributions x 3 particle curves x 3 processor curves x 1 torus:
   //   sample:    1 build per distribution, consumed once by canonical
   //   canonical: cell-sorted copy + grid, 1 per distribution
-  //   ordering:  rank table per (distribution, curve), held per row —
-  //              reuse happens through the held pointer, not the cache
+  //   ordering:  rank table per (distribution, curve)
   //   instance:  every (distribution, curve) pair is distinct (FFI tree)
   //   histograms: built once per (distribution, particle curve), reused
   //              across the 3 processor orders
   //   topology:  the torus is ranked, so one build per processor curve,
   //              shared across distributions and particle curves
-  //   fold:      one per cell per enabled model, never cached
+  //   fold:      one per cell per enabled model, never shared
   const Study s = toy_combination_study();
   const auto run = run_study(s, SweepOptions{});
   const SweepStats& st = run.sweep;
@@ -252,9 +169,8 @@ TEST(SweepEngine, CombinationGridCacheCounts) {
   EXPECT_EQ(st.stage(SweepStage::kTopology).hits, 15u);
   EXPECT_EQ(st.stage(SweepStage::kFold).misses, 36u);
   EXPECT_EQ(st.stage(SweepStage::kFold).hits, 0u);
-  EXPECT_EQ(st.evictions, 0u);
   EXPECT_GT(st.peak_bytes, 0u);
-  EXPECT_LE(st.bytes, st.peak_bytes);
+  EXPECT_LE(st.peak_bytes, st.bytes);
 }
 
 TEST(SweepEngine, TopologyGridCacheCounts) {
@@ -288,19 +204,16 @@ TEST(SweepEngine, DirectPathReportsNoCacheTraffic) {
   EXPECT_EQ(run.sweep.peak_bytes, 0u);
 }
 
-TEST(SweepEngine, TinyBudgetEvictsButNeverChangesResults) {
-  const Study s = toy_combination_study();
-  SweepOptions starved;
-  starved.cache_bytes = 1024;  // far below any single artifact
-  const auto a = run_study(s, starved);
-  EXPECT_GT(a.sweep.evictions, 0u);
-  const auto b = run_study(s, SweepOptions{});
-  EXPECT_EQ(b.sweep.evictions, 0u);
-  expect_bit_identical(a, b);
-  // Starvation costs extra builds, never correctness: with everything
-  // evicted, hit counts can only drop.
-  EXPECT_LE(a.sweep.total_hits(), b.sweep.total_hits());
-  EXPECT_GE(a.sweep.total_misses(), b.sweep.total_misses());
+TEST(SweepEngine, SerialRowsFreeArtifactsBeforeTheNextRow) {
+  // Four independent (distribution, trial) rows: run serially, each row
+  // is folded and its artifacts freed before the next row's sample is
+  // drawn, so at most one row (plus the shared topologies) is ever live.
+  Study s = toy_topology_study();
+  s.topologies = {topo::TopologyKind::kTorus};
+  s.trials = 4;
+  const auto run = run_study(s, SweepOptions{});
+  EXPECT_GT(run.sweep.bytes, 0u);
+  EXPECT_LE(run.sweep.peak_bytes, run.sweep.bytes / 2);
 }
 
 // ---------------------------------------------------------- result shape
@@ -358,8 +271,8 @@ TEST(SweepEngine, NearFieldOnlySkipsFfiStages) {
 TEST(SweepEngine, ResultsAndOrderingIdenticalAcrossThreadCounts) {
   // The pool is a pure wall-clock lever: any thread count must reproduce
   // the serial run exactly — the result cells, the across-trial
-  // statistics, the cache-counter stream, and the order in which cells
-  // are reported to the progress sink.
+  // statistics, the artifact counters, and the order in which cells are
+  // reported to the progress sink.
   Study s = toy_combination_study();
   s.trials = 2;
 
@@ -397,7 +310,6 @@ TEST(SweepEngine, ResultsAndOrderingIdenticalAcrossThreadCounts) {
       EXPECT_EQ(threaded.result.sweep.stages[st].misses,
                 serial.result.sweep.stages[st].misses);
     }
-    EXPECT_EQ(threaded.result.sweep.evictions, serial.result.sweep.evictions);
     ASSERT_EQ(threaded.progress.size(), serial.progress.size())
         << threads << " threads";
     for (std::size_t i = 0; i < serial.progress.size(); ++i) {
@@ -417,7 +329,7 @@ TEST(SweepEngine, ResultsAndOrderingIdenticalAcrossThreadCounts) {
 
 // ------------------------------------------------------- dynamics caching
 
-/// Small dynamics trajectory for the kDelta-stage cache tests: torus
+/// Small dynamics trajectory for the kDelta-stage step-cache tests: torus
 /// sizes must be powers of 4, and the step count stays low because every
 /// step runs three policies over the full configuration.
 DynamicsStudy toy_dynamics_study() {
@@ -452,7 +364,7 @@ TEST(DynamicsEngine, CachedReplayIsBitIdenticalAndAllHits) {
   EXPECT_EQ(live.sweep.total_hits(), 0u);  // no cache supplied
   EXPECT_EQ(live.sweep.total_misses(), 0u);
 
-  ArtifactCache cache(1 << 22);
+  std::unordered_map<std::uint64_t, DynamicsStepResult> cache;
   DynamicsOptions cached;
   cached.cache = &cache;
   const DynamicsResult first = run_dynamics(s, cached);
@@ -460,17 +372,17 @@ TEST(DynamicsEngine, CachedReplayIsBitIdenticalAndAllHits) {
   EXPECT_EQ(first.sweep.stage(SweepStage::kDelta).hits, 0u);
   expect_same_steps(live, first, 8);
 
-  // Identical study, same cache: every step replays from the store
-  // (stats are cumulative across the cache's lifetime).
+  // Identical study, same cache: every step replays from the cache
+  // (stats count this run only).
   const DynamicsResult replay = run_dynamics(s, cached);
-  EXPECT_EQ(replay.sweep.stage(SweepStage::kDelta).misses, 8u);
+  EXPECT_EQ(replay.sweep.stage(SweepStage::kDelta).misses, 0u);
   EXPECT_EQ(replay.sweep.stage(SweepStage::kDelta).hits, 8u);
   expect_same_steps(live, replay, 8);
 }
 
 TEST(DynamicsEngine, ExtendedTrajectoryReplaysCachedPrefix) {
   const DynamicsStudy s = toy_dynamics_study();
-  ArtifactCache cache(1 << 22);
+  std::unordered_map<std::uint64_t, DynamicsStepResult> cache;
   DynamicsOptions cached;
   cached.cache = &cache;
   const DynamicsResult short_run = run_dynamics(s, cached);
@@ -481,15 +393,15 @@ TEST(DynamicsEngine, ExtendedTrajectoryReplaysCachedPrefix) {
   longer.steps = 16;
   const DynamicsResult long_run = run_dynamics(longer, cached);
   EXPECT_EQ(long_run.sweep.stage(SweepStage::kDelta).hits, 8u);
-  EXPECT_EQ(long_run.sweep.stage(SweepStage::kDelta).misses, 16u);
+  EXPECT_EQ(long_run.sweep.stage(SweepStage::kDelta).misses, 8u);
   expect_same_steps(short_run, long_run, 8);
 
   // A different move fraction forks the move-set chain: nothing reuses.
   DynamicsStudy forked = s;
   forked.move_fraction = 0.4;
   const DynamicsResult fork_run = run_dynamics(forked, cached);
-  EXPECT_EQ(fork_run.sweep.stage(SweepStage::kDelta).hits, 8u);
-  EXPECT_EQ(fork_run.sweep.stage(SweepStage::kDelta).misses, 24u);
+  EXPECT_EQ(fork_run.sweep.stage(SweepStage::kDelta).hits, 0u);
+  EXPECT_EQ(fork_run.sweep.stage(SweepStage::kDelta).misses, 8u);
 }
 
 TEST(SweepEngine, InvalidTorusSizeThrows) {

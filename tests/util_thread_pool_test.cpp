@@ -2,11 +2,14 @@
 #include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
+#include <stdlib.h>
 
 #include <atomic>
 #include <cstdint>
 #include <numeric>
 #include <vector>
+
+#include "util/radix_sort.hpp"
 
 namespace sfc::util {
 namespace {
@@ -82,6 +85,54 @@ TEST(ParallelReduce, SingleWorkerFallback) {
         return static_cast<std::uint64_t>(hi - lo);
       });
   EXPECT_EQ(result, 1000u);
+}
+
+TEST(RadixSort, ThreadedSortsFromEveryWorkerAtOnceFinish) {
+  // Both workers of a 2-worker pool meet, then each runs a threaded radix
+  // sort on that same pool. With no idle worker left, the sorts' chunk
+  // tasks can only run if the joins help drain the queue; a join that
+  // sleeps instead deadlocks the pool. The cutoff is pinned to its floor
+  // so the threaded path runs.
+  ::setenv("SFCACD_RADIX_THREAD_MIN", "4096", 1);
+  struct EnvGuard {
+    ~EnvGuard() { ::unsetenv("SFCACD_RADIX_THREAD_MIN"); }
+  } guard;
+  constexpr std::size_t kN = 20000;
+  auto input = [](std::uint64_t salt) {
+    std::vector<KeyIndex> items(kN);
+    std::uint64_t x = 0x9e3779b97f4a7c15ull ^ salt;
+    for (std::size_t i = 0; i < kN; ++i) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      items[i] = {x & 0xfffffu, static_cast<std::uint32_t>(i)};
+    }
+    return items;
+  };
+  std::vector<KeyIndex> expected[2] = {input(1), input(2)};
+  for (auto& e : expected) radix_sort_pairs(e);
+
+  ThreadPool pool(2);
+  ASSERT_LE(detail::threaded_radix_min(), kN);
+  std::vector<KeyIndex> sorted[2] = {input(1), input(2)};
+  Latch met(2);
+  Latch done(2);
+  for (auto& items : sorted) {
+    pool.submit([&met, &done, &items, &pool] {
+      met.count_down();
+      met.wait();
+      radix_sort_pairs(items, &pool);
+      done.count_down();
+    });
+  }
+  done.wait();  // a plain wait: this thread must not run the chunks
+  for (std::size_t k = 0; k < 2; ++k) {
+    ASSERT_EQ(sorted[k].size(), expected[k].size());
+    for (std::size_t i = 0; i < kN; ++i) {
+      ASSERT_EQ(sorted[k][i].key, expected[k][i].key) << k << ", " << i;
+      ASSERT_EQ(sorted[k][i].index, expected[k][i].index) << k << ", " << i;
+    }
+  }
 }
 
 TEST(ThreadPool, GlobalPoolIsSingleton) {
