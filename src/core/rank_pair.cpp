@@ -68,6 +68,16 @@ void RankPairAccumulator::compact() const {
   staging_.clear();
 }
 
+void RankPairAccumulator::seal() const {
+  if (is_dense_) return;
+  compact();
+  // Guarded, so sealing a sealed histogram writes nothing.
+  if (staging_.capacity() != 0) {
+    std::vector<std::pair<std::uint64_t, std::uint64_t>>().swap(staging_);
+  }
+  if (sorted_.capacity() != sorted_.size()) sorted_.shrink_to_fit();
+}
+
 RankPairAccumulator& RankPairAccumulator::operator+=(
     const RankPairAccumulator& o) {
   o.for_each([this](topo::Rank a, topo::Rank b, std::uint64_t count) {
@@ -161,18 +171,26 @@ std::optional<RankPairAccumulator> rank_pairs_deserialize(
   if (dense && p2 > (std::uint64_t{1} << 28)) return std::nullopt;
   RankPairAccumulator acc(static_cast<topo::Rank>(procs),
                           dense ? static_cast<std::size_t>(p2) : 0);
-  const auto p = static_cast<std::uint64_t>(procs);
+  if (!dense) acc.sorted_.reserve(static_cast<std::size_t>(pairs));
+  std::uint64_t prev = 0;
   for (std::uint64_t i = 0; i < pairs; ++i) {
     std::uint64_t key = 0, count = 0;
     if (!read_u64(data, size, offset, key) ||
         !read_u64(data, size, offset, count)) {
       return std::nullopt;
     }
-    if (key >= p2) return std::nullopt;
-    acc.add(static_cast<topo::Rank>(key / p), static_cast<topo::Rank>(key % p),
-            count);
+    // The serializer writes nonzero counts in strictly increasing key
+    // order, so the sorted list needs no sort and no merge.
+    if (key >= p2 || count == 0 || (i != 0 && key <= prev)) {
+      return std::nullopt;
+    }
+    prev = key;
+    if (dense) {
+      acc.dense_[static_cast<std::size_t>(key)] = count;
+    } else {
+      acc.sorted_.emplace_back(key, count);
+    }
   }
-  acc.seal();
   return acc;
 }
 

@@ -120,14 +120,15 @@ class RankPairAccumulator {
     return topo::PairCountsView::sparse(p_, sorted_.data(), sorted_.size());
   }
 
-  /// Force the sparse-mode staging buffer into the sorted aggregate now.
+  /// Force the sparse-mode staging buffer into the sorted aggregate now,
+  /// then free the buffer and trim the sorted list to its size, so a
+  /// sealed histogram holds just its distinct pairs (view()'s per-step
+  /// compactions keep the buffer for reuse; only seal() frees it).
   /// compact() runs lazily on first fold/for_each and mutates the
   /// (mutable) representation, so a histogram shared across concurrent
-  /// fold tasks must be sealed first — afterwards every const operation
-  /// is a pure read. No-op in dense mode or when already compact.
-  void seal() const {
-    if (!is_dense_) compact();
-  }
+  /// fold tasks must be sealed first — afterwards every const operation,
+  /// seal() included, is a pure read. No-op in dense mode.
+  void seal() const;
 
   /// Bytes held by this histogram's backing storage (cache accounting).
   std::size_t memory_bytes() const noexcept {
@@ -169,6 +170,10 @@ class RankPairAccumulator {
   /// the pair *multiset* is unchanged — only its representation.
   void compact() const;
 
+  /// Fills the storage straight from a serialized record.
+  friend std::optional<RankPairAccumulator> rank_pairs_deserialize(
+      const std::uint8_t* data, std::size_t size, std::size_t& offset);
+
   topo::Rank p_;
   bool is_dense_;
   std::vector<std::uint64_t> dense_;  // p² counts (dense mode only)
@@ -189,9 +194,12 @@ void rank_pairs_serialize(const RankPairAccumulator& acc,
 /// Decode the record at `offset` in [data, data+size), advancing offset
 /// past it. The restored accumulator reproduces the recorded dense or
 /// sparse mode exactly (via the ctor's budget hook), independent of what
-/// pick_dense would choose today. Returns nullopt on malformed bytes —
-/// the artifact store's checksum makes that unreachable for store-read
-/// payloads, but the codec still never trusts its input.
+/// pick_dense would choose today, and comes back sealed: the pairs fill
+/// the sorted list (or the dense array) directly, with no re-sort.
+/// Returns nullopt on malformed bytes — a key out of range, keys not
+/// strictly increasing, or a zero count (the serializer writes none of
+/// these). The artifact store's checksum makes that unreachable for
+/// store-read payloads, but the codec still never trusts its input.
 std::optional<RankPairAccumulator> rank_pairs_deserialize(
     const std::uint8_t* data, std::size_t size, std::size_t& offset);
 

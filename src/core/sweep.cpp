@@ -268,10 +268,10 @@ struct DrainJob {
 /// Stages with an on-disk representation. kSample is superseded by
 /// kCanonical (same content, already cell-sorted); kTopology is cheap to
 /// rebuild and validation must stay on the coordinator; kDelta results
-/// belong to run_dynamics. kFold persists its two doubles: tiny
-/// payloads, but at warm-start time the folds are the one remaining
-/// recompute, so skipping them is what turns a warm rerun into pure
-/// deserialization.
+/// belong to run_dynamics. kFold persists its two doubles, and the plan
+/// requests a fold's inputs only when the fold itself must be built, so
+/// a warm rerun maps and decodes nothing but those 24-byte payloads; the
+/// upstream files serve only the folds the store lacks.
 bool store_persistable(SweepStage stage) noexcept {
   switch (stage) {
     case SweepStage::kCanonical:
@@ -560,10 +560,11 @@ void execute(std::deque<PlanNode>& nodes, Executor& exec,
 }
 
 /// The artifact-reusing engine path: plan the whole study as a task
-/// graph on the coordinator (grid order), execute it, then drain the
-/// cells in grid order — so independent cells execute concurrently
-/// end-to-end while results, statistics, progress order and the SweepStats
-/// counters stay the same at every thread count.
+/// graph on the coordinator (grid order, each cell's fold first and its
+/// inputs on demand), execute it, then drain the cells in grid order —
+/// so independent cells execute concurrently end-to-end while results,
+/// statistics, progress order and the SweepStats counters stay the same
+/// at every thread count.
 StudyResult run_reuse(const Study& s, const SweepOptions& o) {
   StudyResult result;
   result.study = s;
@@ -590,9 +591,10 @@ StudyResult run_reuse(const Study& s, const SweepOptions& o) {
   using Deps = std::vector<PlanNode*>;
   // The artifact (stage, key), planned once: the first request makes the
   // node — a store load when the store holds the key, else `build` after
-  // the producers `deps()` names — and counts a miss; every later request
-  // returns the same node and counts a hit. Folds are counted per cell at
-  // their site instead.
+  // the producers `deps()` requests — and counts a miss; every later
+  // request returns the same node and counts a hit. Only a node that must
+  // be built requests its producers, so a stored artifact prunes the whole
+  // subgraph behind it. Folds are counted per cell at their site instead.
   auto plan = [&](SweepStage stage, std::uint64_t key, const auto& deps,
                   std::function<Artifact(const PlanNode&)> build)
       -> PlanNode* {
@@ -629,7 +631,6 @@ StudyResult run_reuse(const Study& s, const SweepOptions& o) {
     }
     node->build = std::move(build);
     for (PlanNode* dep : deps()) {
-      if (dep == nullptr) continue;
       node->deps.push_back(dep);
       dep->users.fetch_add(1, std::memory_order_relaxed);
       if (dep->out.value == nullptr) {  // not materialized at plan time
@@ -648,69 +649,85 @@ StudyResult run_reuse(const Study& s, const SweepOptions& o) {
 
       // Canonical spatial state for this (distribution, trial): the
       // cell-sorted sample and its occupancy grid, which every curve of
-      // the row shares. The sample is requested only when the canonical
-      // copy has to be built.
-      const auto sample_deps = [&] {
-        return Deps{plan(
-            SweepStage::kSample, sample_key, [] { return Deps{}; },
-            [dk = s.distributions[d], count = s.particles, level = s.level,
-             seed = util::substream_seed(s.seed, t)](const PlanNode&) {
-              const obs::Span span(stage_span_name(SweepStage::kSample));
-              dist::SampleConfig cfg;
-              cfg.count = count;
-              cfg.level = level;
-              cfg.seed = seed;
-              auto pts = std::make_shared<const Sample2>(
-                  dist::sample_particles<2>(dk, cfg));
-              const std::size_t bytes = pts->capacity() * sizeof(Point2);
-              return Artifact{std::move(pts), bytes};
-            })};
+      // the row shares. Requested once per row, by the first ordering,
+      // instance or NFI histogram of the row that has to be built; it
+      // requests the sample only when it has to be built itself.
+      PlanNode* canonical_node = nullptr;
+      const auto canonical = [&] {
+        if (canonical_node != nullptr) return canonical_node;
+        const auto sample = [&] {
+          return Deps{plan(
+              SweepStage::kSample, sample_key, [] { return Deps{}; },
+              [dk = s.distributions[d], count = s.particles, level = s.level,
+               seed = util::substream_seed(s.seed, t)](const PlanNode&) {
+                const obs::Span span(stage_span_name(SweepStage::kSample));
+                dist::SampleConfig cfg;
+                cfg.count = count;
+                cfg.level = level;
+                cfg.seed = seed;
+                auto pts = std::make_shared<const Sample2>(
+                    dist::sample_particles<2>(dk, cfg));
+                const std::size_t bytes = pts->capacity() * sizeof(Point2);
+                return Artifact{std::move(pts), bytes};
+              })};
+        };
+        canonical_node = plan(
+            SweepStage::kCanonical, sample_key, sample,
+            [level = s.level, pool](const PlanNode& n) {
+              const obs::Span span(stage_span_name(SweepStage::kCanonical));
+              const auto raw = out_as<Sample2>(n.deps[0]);
+              return artifact_of(std::make_shared<const CanonicalSample2>(
+                  canonical_order(*raw, level, pool), level));
+            });
+        return canonical_node;
       };
-      PlanNode* canonical = plan(
-          SweepStage::kCanonical, sample_key, sample_deps,
-          [level = s.level, pool](const PlanNode& n) {
-            const obs::Span span(stage_span_name(SweepStage::kCanonical));
-            const auto raw = out_as<Sample2>(n.deps.front());
-            return artifact_of(std::make_shared<const CanonicalSample2>(
-                canonical_order(*raw, level, pool), level));
-          });
-      const auto needs_canonical = [&] { return Deps{canonical}; };
 
       for (std::size_t pc = 0; pc < s.particle_curves.size(); ++pc) {
         const CurveKind pkind = s.particle_curves[pc];
         const std::uint64_t curve_key =
             sweep_key(sample_key, static_cast<std::uint64_t>(pkind));
 
-        PlanNode* ordering = plan(
-            SweepStage::kOrdering, curve_key, needs_canonical,
-            [canonical, pkind, level = s.level, &order_build_ns,
-             &order_build_particles](const PlanNode&) {
-              const obs::Span span(stage_span_name(SweepStage::kOrdering));
-              const std::uint64_t t0 = obs::now_ns();
-              const auto canon = out_as<CanonicalSample2>(canonical);
-              const auto curve = make_curve<2>(pkind);
-              auto built = std::make_shared<const Ordering2>(
-                  make_ordering(canon->particles, level, *curve));
-              order_build_ns.fetch_add(obs::now_ns() - t0,
-                                       std::memory_order_relaxed);
-              order_build_particles.fetch_add(canon->particles.size(),
-                                              std::memory_order_relaxed);
-              return artifact_of(std::move(built));
-            });
-        const auto needs_ordering = [&] { return Deps{canonical, ordering}; };
+        // Ordering and instance of this (row, curve), each requested
+        // once, by the first node that has to be built and reads it.
+        PlanNode* ordering_node = nullptr;
+        const auto ordering = [&] {
+          if (ordering_node != nullptr) return ordering_node;
+          ordering_node = plan(
+              SweepStage::kOrdering, curve_key,
+              [&] { return Deps{canonical()}; },
+              [pkind, level = s.level, &order_build_ns,
+               &order_build_particles](const PlanNode& n) {
+                const obs::Span span(stage_span_name(SweepStage::kOrdering));
+                const std::uint64_t t0 = obs::now_ns();
+                const auto canon = out_as<CanonicalSample2>(n.deps[0]);
+                const auto curve = make_curve<2>(pkind);
+                auto built = std::make_shared<const Ordering2>(
+                    make_ordering(canon->particles, level, *curve));
+                order_build_ns.fetch_add(obs::now_ns() - t0,
+                                         std::memory_order_relaxed);
+                order_build_particles.fetch_add(canon->particles.size(),
+                                                std::memory_order_relaxed);
+                return artifact_of(std::move(built));
+              });
+          return ordering_node;
+        };
+        const auto canonical_and_ordering = [&] {
+          return Deps{canonical(), ordering()};
+        };
 
         // The FFI tree walk is the one consumer that needs the particles
         // physically in curve order; scatter them through the rank table
         // instead of re-sorting (the sequence is identical). Near-field-
-        // only studies never build an instance at all.
-        PlanNode* instance = nullptr;
-        if (s.far_field) {
-          instance = plan(
-              SweepStage::kInstance, curve_key, needs_ordering,
-              [canonical, ordering, level = s.level](const PlanNode&) {
+        // only studies never request an instance at all.
+        PlanNode* instance_node = nullptr;
+        const auto instance = [&] {
+          if (instance_node != nullptr) return instance_node;
+          instance_node = plan(
+              SweepStage::kInstance, curve_key, canonical_and_ordering,
+              [level = s.level](const PlanNode& n) {
                 const obs::Span span(stage_span_name(SweepStage::kInstance));
-                const auto canon = out_as<CanonicalSample2>(canonical);
-                const auto ord = out_as<Ordering2>(ordering);
+                const auto canon = out_as<CanonicalSample2>(n.deps[0]);
+                const auto ord = out_as<Ordering2>(n.deps[1]);
                 std::vector<Point2> sorted(canon->particles.size());
                 for (std::size_t i = 0; i < sorted.size(); ++i) {
                   sorted[ord->rank[i]] = canon->particles[i];
@@ -718,10 +735,64 @@ StudyResult run_reuse(const Study& s, const SweepOptions& o) {
                 return artifact_of(std::make_shared<const AcdInstance<2>>(
                     AcdInstance<2>::from_sorted(std::move(sorted), level)));
               });
-        }
+          return instance_node;
+        };
 
         for (std::size_t pi = 0; pi < s.proc_counts.size(); ++pi) {
           const topo::Rank procs = s.proc_counts[pi];
+          const std::uint64_t nfi_key =
+              key_of({curve_key, procs, s.radius,
+                      static_cast<std::uint64_t>(s.norm)});
+          const std::uint64_t ffi_key = key_of({curve_key, procs});
+
+          // The histograms, requested by a fold that has to be built.
+          const auto histograms = [&] {
+            Deps hists;
+            if (s.near_field) {
+              hists.push_back(plan(
+                  SweepStage::kNfiHistogram, nfi_key, canonical_and_ordering,
+                  [procs, radius = s.radius, norm = s.norm,
+                   pool](const PlanNode& n) {
+                    const obs::Span span(
+                        stage_span_name(SweepStage::kNfiHistogram));
+                    const auto canon = out_as<CanonicalSample2>(n.deps[0]);
+                    const auto ord = out_as<Ordering2>(n.deps[1]);
+                    // Owner of canonical particle i: the partition chunk
+                    // its curve rank falls in.
+                    const fmm::Partition part(canon->particles.size(), procs);
+                    const std::vector<topo::Rank> by_rank = part.owner_table();
+                    std::vector<topo::Rank> owners(canon->particles.size());
+                    for (std::size_t i = 0; i < owners.size(); ++i) {
+                      owners[i] = by_rank[ord->rank[i]];
+                    }
+                    auto hist = std::make_shared<const RankPairAccumulator>(
+                        fmm::nfi_histogram_owners<2>(canon->particles,
+                                                     canon->grid, owners,
+                                                     procs, radius, norm,
+                                                     pool));
+                    hist->seal();
+                    return artifact_of(std::move(hist));
+                  }));
+            }
+            if (s.far_field) {
+              hists.push_back(plan(
+                  SweepStage::kFfiHistogram, ffi_key,
+                  [&] { return Deps{instance()}; },
+                  [procs, pool](const PlanNode& n) {
+                    const obs::Span span(
+                        stage_span_name(SweepStage::kFfiHistogram));
+                    const auto inst = out_as<AcdInstance<2>>(n.deps[0]);
+                    const fmm::Partition part(inst->particles().size(),
+                                              procs);
+                    auto hist = std::make_shared<const fmm::FfiHistograms>(
+                        fmm::ffi_histograms<2>(inst->tree(), part, pool));
+                    hist->interpolation.seal();
+                    hist->interaction.seal();
+                    return artifact_of(std::move(hist));
+                  }));
+            }
+            return hists;
+          };
 
           for (std::size_t rc = 0; rc < nrc; ++rc) {
             const std::size_t rc_index = s.paired_curves() ? pc : rc;
@@ -764,79 +835,35 @@ StudyResult run_reuse(const Study& s, const SweepOptions& o) {
               // run_study, never inside a pool task.
               if (topology->build) exec.build(*topology);
 
-              PlanNode* nfi = nullptr;
-              if (s.near_field) {
-                nfi = plan(
-                    SweepStage::kNfiHistogram,
-                    key_of({curve_key, procs, s.radius,
-                            static_cast<std::uint64_t>(s.norm)}),
-                    needs_ordering,
-                    [canonical, ordering, procs, radius = s.radius,
-                     norm = s.norm, pool](const PlanNode&) {
-                      const obs::Span span(
-                          stage_span_name(SweepStage::kNfiHistogram));
-                      const auto canon = out_as<CanonicalSample2>(canonical);
-                      const auto ord = out_as<Ordering2>(ordering);
-                      // Owner of canonical particle i: the partition chunk
-                      // its curve rank falls in.
-                      const fmm::Partition part(canon->particles.size(),
-                                                procs);
-                      const std::vector<topo::Rank> by_rank =
-                          part.owner_table();
-                      std::vector<topo::Rank> owners(canon->particles.size());
-                      for (std::size_t i = 0; i < owners.size(); ++i) {
-                        owners[i] = by_rank[ord->rank[i]];
-                      }
-                      auto hist = std::make_shared<const RankPairAccumulator>(
-                          fmm::nfi_histogram_owners<2>(
-                              canon->particles, canon->grid, owners, procs,
-                              radius, norm, pool));
-                      hist->seal();
-                      return artifact_of(std::move(hist));
-                    });
-              }
-
-              PlanNode* ffi = nullptr;
-              if (s.far_field) {
-                ffi = plan(
-                    SweepStage::kFfiHistogram, key_of({curve_key, procs}),
-                    [&] { return Deps{instance}; },
-                    [instance, procs, pool](const PlanNode&) {
-                      const obs::Span span(
-                          stage_span_name(SweepStage::kFfiHistogram));
-                      const auto inst = out_as<AcdInstance<2>>(instance);
-                      const fmm::Partition part(inst->particles().size(),
-                                                procs);
-                      auto hist = std::make_shared<const fmm::FfiHistograms>(
-                          fmm::ffi_histograms<2>(inst->tree(), part, pool));
-                      hist->interpolation.seal();
-                      hist->interaction.seal();
-                      return artifact_of(std::move(hist));
-                    });
-              }
-
               // The fold: keyed by its inputs (histograms ⊕ topology), so
-              // cells that share them share it and a warm store answers
-              // it — at warm-start the folds are the only remaining
-              // compute. Counted once per enabled model per cell.
+              // cells that share them share it. Its key needs no nodes,
+              // so it is planned first and a warm store answers it before
+              // anything upstream is requested. Deps: the enabled
+              // histograms (NFI before FFI), then the topology. Counted
+              // once per enabled model per cell.
               const std::uint64_t fold_key =
-                  key_of({nfi != nullptr ? nfi->key : 0,
-                          ffi != nullptr ? ffi->key : 0, topo_key});
+                  key_of({s.near_field ? nfi_key : 0,
+                          s.far_field ? ffi_key : 0, topo_key});
               PlanNode* fold = plan(
                   SweepStage::kFold, fold_key,
-                  [&] { return Deps{nfi, ffi, topology}; },
-                  [nfi, ffi, topology](const PlanNode&) {
+                  [&] {
+                    Deps deps = histograms();
+                    deps.push_back(topology);
+                    return deps;
+                  },
+                  [near = s.near_field, far = s.far_field](const PlanNode& n) {
                     const std::uint64_t t0 = obs::now_ns();
                     const obs::Span span(stage_span_name(SweepStage::kFold));
-                    const auto net = out_as<topo::Topology>(topology);
+                    const auto net = out_as<topo::Topology>(n.deps.back());
                     auto out = std::make_shared<FoldOut>();
-                    if (nfi != nullptr) {
-                      const auto hist = out_as<RankPairAccumulator>(nfi);
+                    if (near) {
+                      const auto hist = out_as<RankPairAccumulator>(n.deps[0]);
                       out->nfi_acd = net->fold(hist->view()).acd();
                       out->has_nfi = true;
                     }
-                    if (ffi != nullptr) {
-                      const auto hist = out_as<fmm::FfiHistograms>(ffi);
+                    if (far) {
+                      const auto hist =
+                          out_as<fmm::FfiHistograms>(n.deps[near ? 1 : 0]);
                       out->ffi_acd = fmm::ffi_fold(*hist, *net).total().acd();
                       out->has_ffi = true;
                     }

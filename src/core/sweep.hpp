@@ -83,7 +83,9 @@ struct StageCounters {
 /// Artifact accounting for one engine run. The counters are fixed by the
 /// plan: the first request for a (stage, key) is a miss — a build or a
 /// store load — and every later request a hit; kFold counts one miss per
-/// enabled model per cell. They depend only on the study (and the
+/// enabled model per cell. Only a node that must be built requests its
+/// inputs, so a stored fold leaves its histograms uncounted, and so on
+/// upstream. They depend only on the study (and the
 /// store's contents), never on the thread count. `bytes` sums the
 /// artifacts' memory_bytes() (a histogram built on a pool may hold a
 /// little more or less capacity than a serial one); `peak_bytes` is
@@ -205,10 +207,11 @@ struct SweepOptions {
   /// speedup baseline. Results are bit-identical either way.
   bool reuse = true;
   CellProgressFn progress;
-  /// Optional disk tier (reuse path only): every persistable artifact is
-  /// probed here before it is planned as a build, and every one this run
-  /// builds is written back right after its build. Results are
-  /// bit-identical with or without a store, warm or cold.
+  /// Optional disk tier (reuse path only): every persistable artifact the
+  /// plan requests is probed here before it is planned as a build (folds
+  /// first, so a stored fold is the only file its cell reads), and every
+  /// one this run builds is written back right after its build. Results
+  /// are bit-identical with or without a store, warm or cold.
   ArtifactStore* store = nullptr;
 };
 

@@ -5,6 +5,9 @@
 #include <cctype>
 #include <cmath>
 #include <string>
+#include <unordered_set>
+
+#include "fmm/occupancy.hpp"
 
 namespace sfc::dist {
 
@@ -154,6 +157,56 @@ bool draw_cell(DistKind kind, double side, util::Xoshiro256pp& rng,
   return true;
 }
 
+/// Occupied finest-level cells: the membership test behind the samplers'
+/// one-particle-per-cell rule. A dense bitmap (one bit per cell) while
+/// the key space is within OccupancyGrid's dense cap and the bitmap is
+/// not much bigger than the hash set it stands in for; a hash set beyond.
+/// A std::unordered_set<std::uint64_t> holds about 48 bytes per element
+/// (a 16-byte node rounded up by malloc, plus ~2 bucket pointers at the
+/// reserve below), so the bitmap is taken up to kBitsPerElement = 1024
+/// bits (128 bytes, under 3x the set) per expected element, and on any
+/// grid of at most kAlwaysDenseCells cells (an 8 KiB bitmap). Only
+/// membership is decided here, so the samples do not depend on the pick.
+template <int D>
+class OccupiedCells {
+ public:
+  static constexpr std::uint64_t kBitsPerElement = 1024;
+  static constexpr std::uint64_t kAlwaysDenseCells = std::uint64_t{1} << 16;
+
+  OccupiedCells(unsigned level, std::size_t elements) {
+    const std::uint64_t cells = grid_size<D>(level);
+    if (static_cast<unsigned>(D) * level <= fmm::OccupancyGrid<D>::kDenseBits &&
+        (cells <= kAlwaysDenseCells || cells / kBitsPerElement <= elements)) {
+      bits_.assign(static_cast<std::size_t>((cells + 63) / 64), 0);
+    } else {
+      set_.reserve(elements * 2);
+    }
+  }
+
+  /// Mark `key` occupied; false when it already was.
+  bool insert(std::uint64_t key) {
+    if (bits_.empty()) return set_.insert(key).second;
+    std::uint64_t& word = bits_[static_cast<std::size_t>(key >> 6)];
+    const std::uint64_t bit = std::uint64_t{1} << (key & 63);
+    if ((word & bit) != 0) return false;
+    word |= bit;
+    return true;
+  }
+
+  void erase(std::uint64_t key) {
+    if (bits_.empty()) {
+      set_.erase(key);
+    } else {
+      bits_[static_cast<std::size_t>(key >> 6)] &=
+          ~(std::uint64_t{1} << (key & 63));
+    }
+  }
+
+ private:
+  std::vector<std::uint64_t> bits_;  // dense mode: one bit per cell
+  std::unordered_set<std::uint64_t> set_;
+};
+
 }  // namespace
 
 template <int D>
@@ -174,8 +227,7 @@ std::vector<Point<D>> sample_particles(DistKind kind, const SampleConfig& cfg) {
 
   std::vector<Point<D>> particles;
   particles.reserve(cfg.count);
-  std::unordered_set<std::uint64_t> occupied;
-  occupied.reserve(cfg.count * 2);
+  OccupiedCells<D> occupied(cfg.level, cfg.count);
 
   // Generous rejection budget: the default parameters keep the acceptance
   // rate well above 1/3 even at the paper's densest setting (250k normal
@@ -190,7 +242,7 @@ std::vector<Point<D>> sample_particles(DistKind kind, const SampleConfig& cfg) {
     }
     Point<D> p{};
     if (!draw_cell<D>(kind, side, rng, normal, cfg, ctx, p)) continue;
-    if (occupied.insert(pack(p, cfg.level)).second) {
+    if (occupied.insert(pack(p, cfg.level))) {
       particles.push_back(p);
     }
   }
@@ -207,8 +259,7 @@ void drift_particles(std::vector<Point<D>>& particles, unsigned level,
                      std::uint64_t seed, std::uint64_t step) {
   util::Xoshiro256pp rng(
       util::substream_seed(seed, 0x5EED0000ull + step));
-  std::unordered_set<std::uint64_t> occupied;
-  occupied.reserve(particles.size() * 2);
+  OccupiedCells<D> occupied(level, particles.size());
   for (const auto& p : particles) occupied.insert(pack(p, level));
 
   const std::int64_t side = 1ll << level;
@@ -229,7 +280,7 @@ void drift_particles(std::vector<Point<D>>& particles, unsigned level,
     }
     if (zero) continue;
     const std::uint64_t to = pack(candidate, level);
-    if (!occupied.insert(to).second) continue;  // destination occupied
+    if (!occupied.insert(to)) continue;  // destination occupied
     occupied.erase(pack(p, level));
     p = candidate;
   }

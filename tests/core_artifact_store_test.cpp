@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 #include <stdlib.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -15,9 +16,13 @@
 #include <iterator>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "core/rank_pair.hpp"
 #include "core/sweep.hpp"
+#include "topology/topology.hpp"
 #include "util/thread_pool.hpp"
 
 namespace sfc::core {
@@ -57,6 +62,22 @@ class ArtifactStoreTest : public ::testing::Test {
     }
     EXPECT_EQ(count, 1u);
     return found;
+  }
+
+  /// Artifact files of one stage (by file-name prefix).
+  std::vector<fs::path> artifacts_of(std::string_view stage) const {
+    const std::string prefix = std::string(stage) + "-";
+    std::vector<fs::path> out;
+    for (const auto& entry : fs::directory_iterator(dir_)) {
+      if (entry.path().filename().string().rfind(prefix, 0) == 0) {
+        out.push_back(entry.path());
+      }
+    }
+    return out;
+  }
+
+  void remove_artifacts(std::string_view stage) const {
+    for (const fs::path& file : artifacts_of(stage)) fs::remove(file);
   }
 
   static std::vector<std::uint8_t> payload(std::size_t n,
@@ -341,6 +362,9 @@ TEST_F(ArtifactStoreTest, UndecodablePayloadIsRaisedByRunStudy) {
     std::ofstream out(hist, std::ios::binary | std::ios::trunc);
     out.write(file.data(), static_cast<std::streamsize>(file.size()));
   }
+  // A warm run reads a histogram only for a fold the store lacks, so the
+  // folds go too: the forged histogram must be demanded.
+  remove_artifacts("fold");
 
   util::ThreadPool pool(4);
   for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
@@ -351,6 +375,205 @@ TEST_F(ArtifactStoreTest, UndecodablePayloadIsRaisedByRunStudy) {
     EXPECT_THROW((void)run_study(s, warm), std::runtime_error)
         << (p == nullptr ? "serial" : "pooled");
     EXPECT_EQ(store.stats().corrupt, 0u);
+  }
+}
+
+/// 2 particle curves x 2 processor curves x {torus, hypercube}, both
+/// models: 8 cells. The torus is ranked, so its folds are distinct per
+/// (particle curve, processor curve): 4; the hypercube is not, so its
+/// folds are shared across processor curves: 2. Histograms: one NFI and
+/// one FFI per particle curve.
+Study pruned_plan_study() {
+  Study s;
+  s.particles = 300;
+  s.level = 5;
+  s.seed = 11;
+  s.particle_curves = {CurveKind::kHilbert, CurveKind::kMorton};
+  s.processor_curves = {CurveKind::kHilbert, CurveKind::kRowMajor};
+  s.topologies = {topo::TopologyKind::kTorus, topo::TopologyKind::kHypercube};
+  s.proc_counts = {16};
+  return s;
+}
+constexpr std::uint64_t kPrunedPlanFolds = 6;
+constexpr std::uint64_t kPrunedPlanHistograms = 4;
+
+void expect_cells_match(const StudyResult& got, const StudyResult& want,
+                        const char* what) {
+  ASSERT_EQ(got.cells.size(), want.cells.size()) << what;
+  for (std::size_t i = 0; i < got.cells.size(); ++i) {
+    EXPECT_EQ(got.cells[i].nfi_acd, want.cells[i].nfi_acd) << what << " " << i;
+    EXPECT_EQ(got.cells[i].ffi_acd, want.cells[i].ffi_acd) << what << " " << i;
+  }
+}
+
+constexpr SweepStage kUpstreamOfHistograms[] = {
+    SweepStage::kSample, SweepStage::kCanonical, SweepStage::kOrdering,
+    SweepStage::kInstance};
+constexpr SweepStage kHistograms[] = {SweepStage::kNfiHistogram,
+                                      SweepStage::kFfiHistogram};
+
+/// None of `stages` was requested by the plan.
+template <std::size_t N>
+void expect_unrequested(const SweepStats& st, const SweepStage (&stages)[N],
+                        const char* what) {
+  for (const SweepStage stage : stages) {
+    EXPECT_EQ(st.stage(stage).hits + st.stage(stage).misses, 0u)
+        << what << ": " << sweep_stage_name(stage);
+  }
+}
+
+TEST_F(ArtifactStoreTest, WarmRerunLoadsOnlyTheFolds) {
+  const Study s = pruned_plan_study();
+  SweepOptions direct;
+  direct.reuse = false;
+  const StudyResult oracle = run_study(s, direct);
+  {
+    ArtifactStore store(options());
+    SweepOptions cold;
+    cold.store = &store;
+    expect_cells_match(run_study(s, cold), oracle, "cold");
+  }
+  ASSERT_EQ(artifacts_of("fold").size(), kPrunedPlanFolds);
+
+  util::ThreadPool pool(4);
+  for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+    const char* what = p == nullptr ? "serial" : "pooled";
+    ArtifactStore store(options());
+    SweepOptions warm;
+    warm.store = &store;
+    warm.pool = p;
+    const StudyResult w = run_study(s, warm);
+    expect_cells_match(w, oracle, what);
+    // Every probe is a hit or a miss: one probe per distinct fold, so
+    // no canonical, ordering, instance or histogram file was touched.
+    const ArtifactStore::Stats st = store.stats();
+    EXPECT_EQ(st.hits, kPrunedPlanFolds) << what;
+    EXPECT_EQ(st.misses, 0u) << what;
+    EXPECT_EQ(st.corrupt, 0u) << what;
+    expect_unrequested(w.sweep, kUpstreamOfHistograms, what);
+    expect_unrequested(w.sweep, kHistograms, what);
+  }
+}
+
+TEST_F(ArtifactStoreTest, RerunWithoutFoldsLoadsOnlyTheHistograms) {
+  const Study s = pruned_plan_study();
+  SweepOptions direct;
+  direct.reuse = false;
+  const StudyResult oracle = run_study(s, direct);
+  {
+    ArtifactStore store(options());
+    SweepOptions cold;
+    cold.store = &store;
+    (void)run_study(s, cold);
+  }
+  ASSERT_EQ(artifacts_of("nfi_histogram").size() +
+                artifacts_of("ffi_histogram").size(),
+            kPrunedPlanHistograms);
+
+  util::ThreadPool pool(4);
+  for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+    const char* what = p == nullptr ? "serial" : "pooled";
+    remove_artifacts("fold");
+    ArtifactStore store(options());
+    SweepOptions warm;
+    warm.store = &store;
+    warm.pool = p;
+    const StudyResult w = run_study(s, warm);
+    expect_cells_match(w, oracle, what);
+    // Probes: every fold misses, every histogram hits, nothing else.
+    const ArtifactStore::Stats st = store.stats();
+    EXPECT_EQ(st.hits, kPrunedPlanHistograms) << what;
+    EXPECT_EQ(st.misses, kPrunedPlanFolds) << what;
+    EXPECT_EQ(st.corrupt, 0u) << what;
+    expect_unrequested(w.sweep, kUpstreamOfHistograms, what);
+    // The rebuilt folds are saved again.
+    EXPECT_EQ(artifacts_of("fold").size(), kPrunedPlanFolds) << what;
+  }
+}
+
+// ------------------------------------------------- rank-pair codec
+
+/// A hand-written rank_pairs_serialize record.
+std::vector<std::uint8_t> rank_pair_record(
+    std::uint64_t procs, bool dense,
+    const std::vector<std::pair<std::uint64_t, std::uint64_t>>& pairs) {
+  std::vector<std::uint64_t> words = {procs, dense ? 1u : 0u, pairs.size()};
+  for (const auto& [key, count] : pairs) {
+    words.push_back(key);
+    words.push_back(count);
+  }
+  std::vector<std::uint8_t> out(words.size() * sizeof(std::uint64_t));
+  std::memcpy(out.data(), words.data(), out.size());
+  return out;
+}
+
+std::vector<std::pair<std::uint64_t, std::uint64_t>> pairs_of(
+    const RankPairAccumulator& acc) {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
+  acc.for_each([&](topo::Rank a, topo::Rank b, std::uint64_t count) {
+    out.emplace_back(std::uint64_t{a} * acc.procs() + b, count);
+  });
+  return out;
+}
+
+TEST(RankPairCodec, RoundTripsDenseAndSparse) {
+  for (const std::size_t budget :
+       {RankPairAccumulator::kDenseEntryBudget, std::size_t{0}}) {
+    RankPairAccumulator acc(12, budget);
+    for (topo::Rank i = 0; i < 200; ++i) {
+      acc.add(i % 12, (i * 7) % 12, 1 + i % 3);
+    }
+    std::vector<std::uint8_t> bytes;
+    rank_pairs_serialize(acc, bytes);
+    std::size_t off = 0;
+    const auto back = rank_pairs_deserialize(bytes.data(), bytes.size(), off);
+    ASSERT_TRUE(back.has_value()) << budget;
+    EXPECT_EQ(off, bytes.size());
+    EXPECT_EQ(back->dense(), acc.dense());
+    EXPECT_EQ(pairs_of(*back), pairs_of(acc));
+    EXPECT_EQ(back->events(), acc.events());
+  }
+}
+
+TEST(RankPairCodec, SealedSparseHistogramHoldsOnlyItsPairs) {
+  RankPairAccumulator acc(64, 0);
+  for (topo::Rank i = 0; i < 5000; ++i) acc.add(i % 64, (i / 64) % 64);
+  acc.seal();
+  const std::size_t pairs = pairs_of(acc).size();
+  const std::size_t entry = sizeof(std::pair<std::uint64_t, std::uint64_t>);
+  EXPECT_EQ(acc.memory_bytes(), pairs * entry);
+  // Deserialized histograms come back sealed and sized to fit as well.
+  std::vector<std::uint8_t> bytes;
+  rank_pairs_serialize(acc, bytes);
+  std::size_t off = 0;
+  const auto back = rank_pairs_deserialize(bytes.data(), bytes.size(), off);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->memory_bytes(), pairs * entry);
+}
+
+TEST(RankPairCodec, RejectsKeysThatAreNotStrictlyIncreasing) {
+  for (const bool dense : {false, true}) {
+    std::size_t off = 0;
+    auto bytes = rank_pair_record(8, dense, {{5, 1}, {3, 1}});
+    EXPECT_FALSE(rank_pairs_deserialize(bytes.data(), bytes.size(), off))
+        << "descending, dense=" << dense;
+    off = 0;
+    bytes = rank_pair_record(8, dense, {{5, 1}, {5, 2}});
+    EXPECT_FALSE(rank_pairs_deserialize(bytes.data(), bytes.size(), off))
+        << "repeated, dense=" << dense;
+    off = 0;
+    bytes = rank_pair_record(8, dense, {{3, 1}, {5, 2}});
+    EXPECT_TRUE(rank_pairs_deserialize(bytes.data(), bytes.size(), off))
+        << "increasing, dense=" << dense;
+  }
+}
+
+TEST(RankPairCodec, RejectsAZeroCount) {
+  for (const bool dense : {false, true}) {
+    std::size_t off = 0;
+    const auto bytes = rank_pair_record(8, dense, {{3, 1}, {5, 0}});
+    EXPECT_FALSE(rank_pairs_deserialize(bytes.data(), bytes.size(), off))
+        << "dense=" << dense;
   }
 }
 
