@@ -1,7 +1,8 @@
-// bench_common.hpp — shared plumbing for the experiment harnesses: common
-// CLI flags, stderr progress reporting, and table printing in the layout
-// the paper uses (particle order across, processor order down, row/column
-// minima marked like the paper's boldface/italics).
+// bench_common.hpp — shared plumbing for the experiment binaries: the
+// common CLI flags and table style of the binaries that do not use
+// run_harness, and the paper's reported 4x4 matrices as an overlay table
+// in the paper's layout (particle order across, processor order down,
+// row/column minima marked like the paper's boldface/italics).
 #pragma once
 
 #include <cstdlib>
@@ -39,11 +40,6 @@ inline bool parse_or_usage(util::ArgParser& args, int argc,
   return true;
 }
 
-inline core::ProgressFn progress_fn(const util::ArgParser& args) {
-  if (!args.flag("progress")) return {};
-  return [](const std::string& msg) { std::cerr << "  .. " << msg << "\n"; };
-}
-
 inline util::TableStyle table_style(const util::ArgParser& args) {
   return args.flag("csv") ? util::TableStyle::kCsv
                           : util::TableStyle::kAscii;
@@ -65,40 +61,6 @@ inline util::Table paper_reference_table(const std::vector<CurveKind>& curves,
                  paper_ref[rc][3]});
   }
   return ref;
-}
-
-/// Print one distribution's {processor x particle} matrix, paper layout.
-inline void print_combination_matrix(const core::CombinationStudyResult& r,
-                                     std::size_t dist_index, bool far_field,
-                                     const std::string& title,
-                                     util::TableStyle style,
-                                     const double paper_ref[4][4] = nullptr) {
-  util::Table table(title);
-  std::vector<std::string> header = {"Processor Order v"};
-  for (const CurveKind c : r.config.curves) {
-    header.emplace_back(curve_name(c));
-  }
-  table.set_header(header);
-  table.mark_minima(true);
-  for (std::size_t rc = 0; rc < r.config.curves.size(); ++rc) {
-    std::vector<double> row;
-    for (std::size_t pc = 0; pc < r.config.curves.size(); ++pc) {
-      const auto& cell = r.cells[dist_index][rc][pc];
-      row.push_back(far_field ? cell.ffi_acd : cell.nfi_acd);
-    }
-    table.add_row(std::string(curve_name(r.config.curves[rc])),
-                  std::move(row));
-  }
-  table.print(std::cout, style);
-
-  // The paper overlay is a fixed 4x4 matrix indexed by the canonical
-  // curve order — skip it when the study ran a different curve set.
-  if (paper_ref != nullptr && style != util::TableStyle::kCsv &&
-      r.config.curves.size() == 4) {
-    paper_reference_table(r.config.curves, paper_ref)
-        .print(std::cout, style);
-  }
-  std::cout << "\n";
 }
 
 }  // namespace sfc::bench

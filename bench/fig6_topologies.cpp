@@ -53,12 +53,13 @@ int main(int argc, char** argv) {
     // the sweep.
     study.topologies.assign(topo::kAllTopologies, topo::kAllTopologies + 6);
 
+    // run_study validates the parameters the header prints.
+    const auto result = core::run_study(study, h.sweep_options(&study));
+
     h.prose() << "== Figure 6 reproduction: " << study.particles
               << " uniform particles, " << (1u << study.level)
               << "^2 resolution, p=" << procs << ", r=" << study.radius
               << " ==\n\n";
-
-    const auto result = core::run_study(study, h.sweep_options(&study));
 
     for (const bool far_field : {false, true}) {
       auto table = core::topology_table(result, far_field);

@@ -55,11 +55,12 @@ int main(int argc, char** argv) {
     for (topo::Rank p = min_procs; p <= max_procs; p *= 4)
       study.proc_counts.push_back(p);
 
+    // run_study validates the parameters the header prints.
+    const auto result = core::run_study(study, h.sweep_options(&study));
+
     h.prose() << "== Figure 7 reproduction: " << study.particles
               << " uniform particles, " << (1u << study.level)
               << "^2 resolution, torus, r=" << study.radius << " ==\n\n";
-
-    const auto result = core::run_study(study, h.sweep_options(&study));
 
     for (const bool far_field : {false, true}) {
       auto table = core::scaling_table(result, far_field);

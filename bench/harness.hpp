@@ -29,6 +29,7 @@
 #include <iostream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <streambuf>
 #include <string>
 #include <utility>
@@ -62,6 +63,9 @@ class NullBuffer : public std::streambuf {
 class Harness {
  public:
   explicit Harness(util::ArgParser& args) : args_(args), null_(&null_buffer_) {
+    if (args.i64("trials") < 1) {
+      throw std::invalid_argument("--trials must be at least 1");
+    }
     obs::Tracer::instance().set_thread_name("main");
     if (!args.str("trace").empty()) {
       obs::Tracer::instance().set_enabled(true);
@@ -325,7 +329,16 @@ inline int run_harness(int argc, const char* const* argv,
   }
   Harness& harness = *harness_ptr;
   const auto start = std::chrono::steady_clock::now();
-  const int status = spec.run(harness);
+  int status = 0;
+  try {
+    status = spec.run(harness);
+  } catch (const std::exception& e) {
+    // An invalid study (or a failed stage build) is reported like a
+    // malformed command line, not left to abort the process.
+    obs::Sampler::instance().stop();
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();

@@ -34,12 +34,13 @@ int main(int argc, char** argv) {
     study.processor_curves = study.particle_curves;  // full cross product
     study.proc_counts = {static_cast<topo::Rank>(h.args().i64("procs"))};
 
+    // run_study validates the parameters the header prints.
+    const auto result = core::run_study(study, h.sweep_options(&study));
+
     h.prose() << "== Table I reproduction: NFI ACD, " << study.particles
               << " particles, " << (1u << study.level) << "^2 resolution, "
               << study.proc_counts[0] << "-processor torus, r=" << study.radius
               << " ==\n\n";
-
-    const auto result = core::run_study(study, h.sweep_options(&study));
 
     const bool overlay = h.style() == util::TableStyle::kAscii &&
                          study.particle_curves.size() == 4;

@@ -165,10 +165,14 @@ std::optional<RankPairAccumulator> rank_pairs_deserialize(
   if (pairs > (size - offset) / 16) return std::nullopt;
   const bool dense = mode == 1;
   const std::uint64_t p2 = procs * procs;
-  // A dense record implies the producer actually held the p² array, so
-  // p² is bounded by the dense budget plus whatever enlarged budget a
-  // caller can pass — refuse anything that would be an absurd allocation.
-  if (dense && p2 > (std::uint64_t{1} << 28)) return std::nullopt;
+  // A dense record implies the producer held the p² array, and every
+  // producer of stored histograms builds it under the default budget
+  // (only tests enlarge it, and they do not persist) — so a dense record
+  // beyond kDenseEntryBudget is forged, and decoding it would allocate
+  // whatever p² the bytes claim.
+  if (dense && p2 > RankPairAccumulator::kDenseEntryBudget) {
+    return std::nullopt;
+  }
   RankPairAccumulator acc(static_cast<topo::Rank>(procs),
                           dense ? static_cast<std::size_t>(p2) : 0);
   if (!dense) acc.sorted_.reserve(static_cast<std::size_t>(pairs));

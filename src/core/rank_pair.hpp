@@ -197,8 +197,8 @@ void rank_pairs_serialize(const RankPairAccumulator& acc,
 /// pick_dense would choose today, and comes back sealed: the pairs fill
 /// the sorted list (or the dense array) directly, with no re-sort.
 /// Returns nullopt on malformed bytes — a key out of range, keys not
-/// strictly increasing, or a zero count (the serializer writes none of
-/// these). The artifact store's checksum makes that unreachable for
+/// strictly increasing, a zero count, or a dense record with p² above
+/// kDenseEntryBudget (no producer writes any of these). The artifact store's checksum makes that unreachable for
 /// store-read payloads, but the codec still never trusts its input.
 std::optional<RankPairAccumulator> rank_pairs_deserialize(
     const std::uint8_t* data, std::size_t size, std::size_t& offset);

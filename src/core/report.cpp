@@ -17,60 +17,6 @@ std::vector<std::string> curve_header(const std::vector<CurveKind>& curves,
 
 }  // namespace
 
-util::Table combination_table(const CombinationStudyResult& result,
-                              std::size_t dist_index, bool far_field) {
-  const auto& cfg = result.config;
-  util::Table table(std::string(dist_name(cfg.distributions[dist_index])) +
-                    " distribution (" + (far_field ? "FFI" : "NFI") + ")");
-  table.set_header(curve_header(cfg.curves, "Processor Order v"));
-  table.mark_minima(true);
-  for (std::size_t rc = 0; rc < cfg.curves.size(); ++rc) {
-    std::vector<double> row;
-    for (std::size_t pc = 0; pc < cfg.curves.size(); ++pc) {
-      const auto& cell = result.cells[dist_index][rc][pc];
-      row.push_back(far_field ? cell.ffi_acd : cell.nfi_acd);
-    }
-    table.add_row(std::string(curve_name(cfg.curves[rc])), std::move(row));
-  }
-  return table;
-}
-
-util::Table topology_table(const TopologyStudyResult& result,
-                           bool far_field) {
-  const auto& cfg = result.config;
-  util::Table table(far_field ? "far-field ACD per topology"
-                              : "near-field ACD per topology");
-  table.set_header(curve_header(cfg.curves, "topology"));
-  table.mark_minima(true);
-  for (std::size_t t = 0; t < cfg.topologies.size(); ++t) {
-    std::vector<double> row;
-    for (std::size_t c = 0; c < cfg.curves.size(); ++c) {
-      row.push_back(far_field ? result.cells[t][c].ffi_acd
-                              : result.cells[t][c].nfi_acd);
-    }
-    table.add_row(std::string(topology_name(cfg.topologies[t])),
-                  std::move(row));
-  }
-  return table;
-}
-
-util::Table scaling_table(const ScalingStudyResult& result, bool far_field) {
-  const auto& cfg = result.config;
-  util::Table table(far_field ? "far-field ACD vs processor count"
-                              : "near-field ACD vs processor count");
-  table.set_header(curve_header(cfg.curves, "processors"));
-  table.mark_minima(true);
-  for (std::size_t p = 0; p < cfg.proc_counts.size(); ++p) {
-    std::vector<double> row;
-    for (std::size_t c = 0; c < cfg.curves.size(); ++c) {
-      row.push_back(far_field ? result.cells[c][p].ffi_acd
-                              : result.cells[c][p].nfi_acd);
-    }
-    table.add_row("p=" + std::to_string(cfg.proc_counts[p]), std::move(row));
-  }
-  return table;
-}
-
 util::Table anns_table(const AnnsStudyResult& result, bool maxima) {
   const auto& cfg = result.config;
   util::Table table(maxima
@@ -104,9 +50,10 @@ util::Table combination_table(const StudyResult& result,
       const AcdCell& cell = result.cell(dist_index, pc, 0, rc, 0);
       row.push_back(far_field ? cell.ffi_acd : cell.nfi_acd);
     }
-    const CurveKind rkind = s.paired_curves() ? s.particle_curves[rc]
-                                              : s.processor_curves[rc];
-    table.add_row(std::string(curve_name(rkind)), std::move(row));
+    table.add_row(s.paired_curves()
+                      ? std::string("= particle order")
+                      : std::string(curve_name(s.processor_curves[rc])),
+                  std::move(row));
   }
   return table;
 }

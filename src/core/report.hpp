@@ -12,22 +12,16 @@
 
 namespace sfc::core {
 
-/// Tables I/II layout: processor order down, particle order across.
-util::Table combination_table(const CombinationStudyResult& result,
+/// Tables I/II layout: processor order down, particle order across. A
+/// paired study (Study::processor_curves empty) gives one row, in which
+/// each column's processors are ranked by that column's own curve.
+util::Table combination_table(const StudyResult& result,
                               std::size_t dist_index, bool far_field);
 
 /// Figure 6 layout: one row per topology, one column per curve.
-util::Table topology_table(const TopologyStudyResult& result,
-                           bool far_field);
+util::Table topology_table(const StudyResult& result, bool far_field);
 
 /// Figure 7 layout: one row per processor count, one column per curve.
-util::Table scaling_table(const ScalingStudyResult& result, bool far_field);
-
-// Sweep-engine overloads: the same layouts built straight from a
-// StudyResult (what the bench harnesses consume since the Study API).
-util::Table combination_table(const StudyResult& result,
-                              std::size_t dist_index, bool far_field);
-util::Table topology_table(const StudyResult& result, bool far_field);
 util::Table scaling_table(const StudyResult& result, bool far_field);
 
 /// Machine-readable JSON document for a sweep-engine run: the study

@@ -3,151 +3,6 @@
 #include <sstream>
 
 namespace sfc::core {
-namespace {
-
-void report(const ProgressFn& progress, const std::string& msg) {
-  if (progress) progress(msg);
-}
-
-/// Adapt a legacy string-message progress sink to the engine's
-/// structured per-cell callback, reproducing the historical phrasing.
-CellProgressFn legacy_progress(const Study& study, const ProgressFn& progress,
-                               const char* style) {
-  if (!progress) return {};
-  const std::string fmt = style;
-  return [&study, progress, fmt](const StudyCellRef& ref, double) {
-    std::ostringstream msg;
-    if (fmt == "combination") {
-      msg << dist_name(study.distributions[ref.distribution]) << " trial "
-          << ref.trial + 1 << "/" << study.trials << ": particle "
-          << curve_name(study.particle_curves[ref.particle_curve])
-          << " x processor "
-          << curve_name(study.processor_curves[ref.processor_curve])
-          << " done";
-    } else if (fmt == "topology") {
-      msg << "trial " << ref.trial + 1 << "/" << study.trials << ": "
-          << topology_name(study.topologies[ref.topology]) << " x "
-          << curve_name(study.particle_curves[ref.particle_curve]) << " done";
-    } else {  // scaling
-      msg << "trial " << ref.trial + 1 << "/" << study.trials << ": "
-          << curve_name(study.particle_curves[ref.particle_curve])
-          << " @ p=" << study.proc_counts[ref.proc_count] << " done";
-    }
-    progress(msg.str());
-  };
-}
-
-}  // namespace
-
-CombinationStudyResult run_combination_study(
-    const CombinationStudyConfig& config, util::ThreadPool* pool,
-    const ProgressFn& progress) {
-  Study study;
-  study.name = "combination";
-  study.particles = config.particles;
-  study.level = config.level;
-  study.radius = config.radius;
-  study.seed = config.seed;
-  study.trials = config.trials;
-  study.near_field = config.near_field;
-  study.far_field = config.far_field;
-  study.distributions = config.distributions;
-  study.particle_curves = config.curves;
-  study.processor_curves = config.curves;
-  study.topologies = {config.topology};
-  study.proc_counts = {config.procs};
-
-  SweepOptions options;
-  options.pool = pool;
-  options.progress = legacy_progress(study, progress, "combination");
-  const StudyResult run = run_study(study, options);
-
-  const std::size_t nd = config.distributions.size();
-  const std::size_t nc = config.curves.size();
-  CombinationStudyResult result;
-  result.config = config;
-  result.cells.assign(
-      nd, std::vector<std::vector<AcdCell>>(nc, std::vector<AcdCell>(nc)));
-  result.stats.assign(nd, std::vector<std::vector<AcdCellStats>>(
-                              nc, std::vector<AcdCellStats>(nc)));
-  for (std::size_t d = 0; d < nd; ++d) {
-    for (std::size_t pc = 0; pc < nc; ++pc) {
-      for (std::size_t rc = 0; rc < nc; ++rc) {
-        result.cells[d][rc][pc] = run.cell(d, pc, 0, rc, 0);
-        result.stats[d][rc][pc] = run.cell_stats(d, pc, 0, rc, 0);
-      }
-    }
-  }
-  return result;
-}
-
-TopologyStudyResult run_topology_study(const TopologyStudyConfig& config,
-                                       util::ThreadPool* pool,
-                                       const ProgressFn& progress) {
-  Study study;
-  study.name = "topology";
-  study.particles = config.particles;
-  study.level = config.level;
-  study.radius = config.radius;
-  study.seed = config.seed;
-  study.trials = config.trials;
-  study.distributions = {config.distribution};
-  study.particle_curves = config.curves;
-  study.processor_curves = {};  // paired: the same SFC in both roles
-  study.topologies = config.topologies;
-  study.proc_counts = {config.procs};
-
-  SweepOptions options;
-  options.pool = pool;
-  options.progress = legacy_progress(study, progress, "topology");
-  const StudyResult run = run_study(study, options);
-
-  const std::size_t nt = config.topologies.size();
-  const std::size_t nc = config.curves.size();
-  TopologyStudyResult result;
-  result.config = config;
-  result.cells.assign(nt, std::vector<AcdCell>(nc));
-  for (std::size_t ti = 0; ti < nt; ++ti) {
-    for (std::size_t c = 0; c < nc; ++c) {
-      result.cells[ti][c] = run.cell(0, c, 0, 0, ti);
-    }
-  }
-  return result;
-}
-
-ScalingStudyResult run_scaling_study(const ScalingStudyConfig& config,
-                                     util::ThreadPool* pool,
-                                     const ProgressFn& progress) {
-  Study study;
-  study.name = "scaling";
-  study.particles = config.particles;
-  study.level = config.level;
-  study.radius = config.radius;
-  study.seed = config.seed;
-  study.trials = config.trials;
-  study.distributions = {config.distribution};
-  study.particle_curves = config.curves;
-  study.processor_curves = {};  // paired
-  study.topologies = {config.topology};
-  study.proc_counts = config.proc_counts;
-
-  SweepOptions options;
-  options.pool = pool;
-  options.progress = legacy_progress(study, progress, "scaling");
-  const StudyResult run = run_study(study, options);
-
-  const std::size_t nc = config.curves.size();
-  const std::size_t np = config.proc_counts.size();
-  ScalingStudyResult result;
-  result.config = config;
-  result.cells.assign(nc, std::vector<AcdCell>(np));
-  for (std::size_t c = 0; c < nc; ++c) {
-    for (std::size_t pi = 0; pi < np; ++pi) {
-      result.cells[c][pi] = run.cell(0, c, pi, 0, 0);
-    }
-  }
-  return result;
-}
 
 AnnsStudyResult run_anns_study(const AnnsStudyConfig& config,
                                util::ThreadPool* pool,
@@ -164,10 +19,11 @@ AnnsStudyResult run_anns_study(const AnnsStudyConfig& config,
     for (std::size_t l = 0; l < nl; ++l) {
       result.stats[c][l] =
           neighbor_stretch(*curve, config.levels[l], config.radius, pool);
+      if (!progress) continue;
       std::ostringstream msg;
       msg << curve_name(config.curves[c]) << " @ level " << config.levels[l]
           << " done";
-      report(progress, msg.str());
+      progress(msg.str());
     }
   }
   return result;

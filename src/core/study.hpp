@@ -1,118 +1,22 @@
-// study.hpp — the paper's experimental designs as named sweep presets.
+// study.hpp — the one experiment that is not a grid sweep.
 //
-// The declarative core::Study grammar plus run_study (core/sweep.hpp) is
-// the primary API: each table/figure family is one Study value. The
-// run_*_study functions below are retained as deprecated compatibility
-// wrappers — they translate their legacy config structs into a Study,
-// execute it on the sweep engine, and reshape the results, so existing
-// tests and examples compile unchanged and produce bit-identical values:
-//   * run_combination_study — Tables I & II: all {particle-order,
-//     processor-order} SFC pairs, per input distribution, on one topology;
-//   * run_topology_study    — Figure 6: topology comparison with the same
-//     SFC in both roles;
-//   * run_scaling_study     — Figure 7: ACD as a function of the processor
-//     count, per SFC;
-//   * run_anns_study        — Figure 5: neighbor stretch vs resolution
-//     (not an ACD sweep; unchanged).
-// New code should build a Study and call run_study directly.
+// Every ACD experiment in the paper (Tables I/II, Figures 6/7) is one
+// core::Study value run by core::run_study (core/sweep.hpp).
+// run_anns_study covers Figure 5: neighbor stretch vs resolution, which
+// measures the curves alone and has no particles, partition or network.
 #pragma once
 
 #include <functional>
 #include <string>
 #include <vector>
 
-#include "core/acd.hpp"
 #include "core/anns.hpp"
 #include "core/sweep.hpp"
-#include "util/stats.hpp"
 
 namespace sfc::core {
 
-/// Optional progress sink (long paper-scale runs report per-cell progress).
+/// Optional progress sink: one message per finished (curve, level).
 using ProgressFn = std::function<void(const std::string&)>;
-
-// ---------------------------------------------------------------- Tables I/II
-struct CombinationStudyConfig {
-  std::size_t particles = 250000;
-  unsigned level = 10;       // 1024 x 1024 spatial resolution
-  topo::Rank procs = 65536;  // 256 x 256 torus
-  topo::TopologyKind topology = topo::TopologyKind::kTorus;
-  unsigned radius = 1;
-  std::uint64_t seed = 1;
-  unsigned trials = 1;
-  bool near_field = true;  ///< evaluate the NFI model (Table I)
-  bool far_field = true;   ///< evaluate the FFI model (Table II)
-  std::vector<dist::DistKind> distributions{dist::kAllDistributions,
-                                            dist::kAllDistributions + 3};
-  std::vector<CurveKind> curves{kPaperCurves, kPaperCurves + 4};
-};
-
-struct CombinationStudyResult {
-  CombinationStudyConfig config;
-  /// cells[d][proc_curve][particle_curve], indices into config vectors.
-  /// Values are across-trial means.
-  std::vector<std::vector<std::vector<AcdCell>>> cells;
-  /// Matching across-trial statistics (same indexing).
-  std::vector<std::vector<std::vector<AcdCellStats>>> stats;
-};
-
-/// Deprecated compatibility wrapper: translates the config into a Study
-/// (both curve roles swept) and runs it on the sweep engine.
-CombinationStudyResult run_combination_study(
-    const CombinationStudyConfig& config, util::ThreadPool* pool = nullptr,
-    const ProgressFn& progress = {});
-
-// ---------------------------------------------------------------- Figure 6
-struct TopologyStudyConfig {
-  std::size_t particles = 1000000;
-  unsigned level = 12;  // 4096 x 4096
-  topo::Rank procs = 65536;
-  unsigned radius = 4;
-  dist::DistKind distribution = dist::DistKind::kUniform;
-  std::uint64_t seed = 1;
-  unsigned trials = 1;
-  std::vector<topo::TopologyKind> topologies{topo::kAllTopologies,
-                                             topo::kAllTopologies + 6};
-  std::vector<CurveKind> curves{kPaperCurves, kPaperCurves + 4};
-};
-
-struct TopologyStudyResult {
-  TopologyStudyConfig config;
-  /// cells[topology][curve].
-  std::vector<std::vector<AcdCell>> cells;
-};
-
-/// Deprecated compatibility wrapper: translates the config into a Study
-/// (paired curves, topology axis swept) and runs it on the sweep engine.
-TopologyStudyResult run_topology_study(const TopologyStudyConfig& config,
-                                       util::ThreadPool* pool = nullptr,
-                                       const ProgressFn& progress = {});
-
-// ---------------------------------------------------------------- Figure 7
-struct ScalingStudyConfig {
-  std::size_t particles = 1000000;
-  unsigned level = 12;
-  std::vector<topo::Rank> proc_counts{64,   256,   1024,
-                                      4096, 16384, 65536};
-  topo::TopologyKind topology = topo::TopologyKind::kTorus;
-  unsigned radius = 1;
-  dist::DistKind distribution = dist::DistKind::kUniform;
-  std::uint64_t seed = 1;
-  unsigned trials = 1;
-  std::vector<CurveKind> curves{kPaperCurves, kPaperCurves + 4};
-};
-
-struct ScalingStudyResult {
-  ScalingStudyConfig config;
-  /// cells[curve][proc_count_index].
-  std::vector<std::vector<AcdCell>> cells;
-};
-
-/// Deprecated compatibility wrapper: translates the config into a Study
-/// (paired curves, processor-count axis swept) and runs it on the engine.
-ScalingStudyResult run_scaling_study(const ScalingStudyConfig& config,
-                                     util::ThreadPool* pool = nullptr,
-                                     const ProgressFn& progress = {});
 
 // ---------------------------------------------------------------- Figure 5
 struct AnnsStudyConfig {

@@ -11,6 +11,7 @@
 #include <mutex>
 #include <optional>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/artifact_store.hpp"
@@ -985,9 +986,30 @@ StudyResult run_direct(const Study& s, const SweepOptions& o) {
   return result;
 }
 
+/// Reject scalar parameters no run can honour, on the coordinator and
+/// before anything is planned: zero trials would yield an all-zero
+/// result, and an impossible sample would throw from inside a task.
+void check_study(const Study& s) {
+  if (s.trials < 1) {
+    throw std::invalid_argument("run_study: trials must be at least 1");
+  }
+  if (s.level > max_level<2>()) {
+    throw std::invalid_argument("run_study: level " + std::to_string(s.level) +
+                                " exceeds the maximum " +
+                                std::to_string(max_level<2>()));
+  }
+  if (s.particles > grid_size<2>(s.level)) {
+    throw std::invalid_argument(
+        "run_study: " + std::to_string(s.particles) +
+        " particles exceed the " + std::to_string(grid_size<2>(s.level)) +
+        " cells of a level-" + std::to_string(s.level) + " grid");
+  }
+}
+
 }  // namespace
 
 StudyResult run_study(const Study& study, const SweepOptions& options) {
+  check_study(study);
   return options.reuse ? run_reuse(study, options)
                        : run_direct(study, options);
 }

@@ -146,10 +146,10 @@ struct AcdCellStats {
 /// Declarative description of one ACD sweep: scalar pipeline parameters
 /// plus the grid axes. Every combination of {distribution x
 /// particle_curve x proc_count x processor_order x topology} is one
-/// cell; trials average into each cell. This one struct subsumes the
-/// former CombinationStudyConfig (both curve roles swept),
-/// TopologyStudyConfig (topologies swept, curves paired), and
-/// ScalingStudyConfig (proc_counts swept, curves paired).
+/// cell; trials average into each cell. Each paper sweep is one value:
+/// Tables I/II sweep both curve roles (processor_curves =
+/// particle_curves), Figure 6 sweeps topologies and Figure 7 proc_counts
+/// with the curves paired (processor_curves empty).
 struct Study {
   std::string name = "study";
   std::size_t particles = 250000;
@@ -249,10 +249,13 @@ struct StudyResult {
 /// Execute a study. Cells are visited in row-major grid order with
 /// trials outermost per distribution; artifact reuse and fold
 /// parallelism never change the arithmetic (integer histogram sums
-/// commute), only the wall clock. Invalid grid parameters (e.g. a torus
-/// size that is not a power of 4) surface as std::invalid_argument from
-/// the coordinating thread, and so does the first exception a stage
-/// build throws (e.g. std::runtime_error for a malformed store payload),
+/// commute), only the wall clock. Invalid parameters surface as
+/// std::invalid_argument from the coordinating thread: trials == 0, a
+/// level above max_level<2>() or more particles than the 4^level grid
+/// cells before any work starts, and invalid grid axes (e.g. a torus
+/// size that is not a power of 4) when their topology is built. The
+/// first exception a stage build throws (e.g. std::runtime_error for a
+/// malformed store payload) is raised from the coordinating thread too,
 /// after every task of the run has finished.
 StudyResult run_study(const Study& study, const SweepOptions& options = {});
 

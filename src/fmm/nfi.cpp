@@ -1,6 +1,5 @@
 #include "fmm/nfi.hpp"
 
-#include <algorithm>
 #include <utility>
 
 #include "core/rank_pair.hpp"
@@ -117,104 +116,12 @@ inline void halfwindow_dense2(const std::int32_t* cells, unsigned level,
   }
 }
 
-/// Histogram the near-field events of particles [lo, hi) into `acc` as
-/// (src rank, dst rank) → count entries. The partition assigns contiguous
-/// chunks, so the walk proceeds rank run by rank run — the source rank
-/// and its histogram row are loop invariants hoisted out of the
-/// per-particle window scans.
-template <int D>
-void nfi_range_into(const std::vector<Point<D>>& particles,
-                    const OccupancyGrid<D>& grid, const Partition& part,
-                    const std::vector<topo::Rank>& owners,
-                    core::RankPairAccumulator& acc, unsigned radius,
-                    NeighborNorm norm, std::size_t lo, std::size_t hi) {
-  const std::int32_t* cells = grid.dense_cells();
-  const std::int64_t r = radius;
-  const topo::Rank* own = owners.data();
-
-  // SIMD half-window compaction for the 2-D dense kernel: one scratch
-  // buffer sized to the largest half-window, reused across every
-  // particle of the range. r == 1 windows hold at most 4 cells — too
-  // short to fill vector lanes — so the per-cell scan stays.
-  decltype(util::simd::kernels().nfi_halfwindow2) collect = nullptr;
-  std::vector<std::int32_t> scratch;
-  if constexpr (D == 2) {
-    if (cells != nullptr && r >= 2) {
-      collect = util::simd::kernels().nfi_halfwindow2;
-      if (collect != nullptr) {
-        scratch.resize(static_cast<std::size_t>(2 * r * r + 2 * r + 7));
-      }
-    }
-  }
-
-  std::size_t i = lo;
-  topo::Rank src = owners[lo];
-  while (i < hi) {
-    const std::size_t run_end = std::min(hi, part.chunk_begin(src + 1));
-    if (run_end <= i) {
-      ++src;
-      continue;
-    }
-    std::uint64_t* row = acc.row(src);
-    if constexpr (D == 2) {
-      if (cells != nullptr) {
-        // Hop distance is symmetric (the interconnects are undirected;
-        // the metric-property tests assert it), so the directed events
-        // (src, dst) and (dst, src) fold to the same 2·d(src, dst) as a
-        // single count-2 entry on src's row — which keeps every update
-        // on the hoisted row instead of scattering across the histogram.
-        const unsigned level = grid.level();
-        auto scan = [&](const Point<2>& p, auto&& push) {
-          if (collect != nullptr) {
-            // Same rows, same in-row order, same ids as
-            // halfwindow_dense2 — the event multiset is identical.
-            const std::size_t m =
-                collect(cells, level, p[0], p[1],
-                        static_cast<std::uint32_t>(r),
-                        norm == NeighborNorm::kChebyshev, scratch.data());
-            for (std::size_t k = 0; k < m; ++k) push(scratch[k]);
-          } else {
-            halfwindow_dense2(cells, level, p, r, norm, push);
-          }
-        };
-        if (row != nullptr) {
-          for (; i < run_end; ++i) {
-            scan(particles[i], [&](std::int32_t j) {
-              row[own[static_cast<std::size_t>(j)]] += 2;
-            });
-          }
-        } else {
-          for (; i < run_end; ++i) {
-            scan(particles[i], [&](std::int32_t j) {
-              acc.add(src, own[static_cast<std::size_t>(j)], 2);
-            });
-          }
-        }
-        ++src;
-        continue;
-      }
-    }
-    if (row != nullptr) {
-      for (; i < run_end; ++i) {
-        visit_neighbors<D>(grid, cells, particles[i], r, norm,
-                           [&](std::size_t j) { ++row[own[j]]; });
-      }
-    } else {
-      for (; i < run_end; ++i) {
-        visit_neighbors<D>(grid, cells, particles[i], r, norm,
-                           [&](std::size_t j) { acc.add(src, own[j]); });
-      }
-    }
-    ++src;
-  }
-}
-
-/// nfi_range_into for particles in arbitrary array order: the source rank
-/// comes from the owner table per particle instead of the contiguous
-/// partition runs, so there is no run to hoist — but the emitted event
-/// multiset is identical for the identical particle/owner assignment
-/// (every event is (owner of x, owner of y) over the same spatial pairs,
-/// and the half-window orientation is spatial, not positional).
+/// The NFI enumeration kernel: histogram the near-field events of
+/// particles [lo, hi) into `acc` as (src rank, dst rank) → count entries,
+/// with the source rank of particle i read from `owners[i]`. The emitted
+/// event multiset is a function of the particle positions and owners only
+/// (the half-window orientation is spatial, not positional), so any array
+/// order of the same particle/owner assignment gives the same histogram.
 template <int D>
 void nfi_range_into_owners(const std::vector<Point<D>>& particles,
                            const OccupancyGrid<D>& grid,
@@ -228,7 +135,10 @@ void nfi_range_into_owners(const std::vector<Point<D>>& particles,
   if constexpr (D == 2) {
     if (cells != nullptr) {
       const unsigned level = grid.level();
-      // Same SIMD compaction setup as nfi_range_into.
+      // SIMD half-window compaction: one scratch buffer sized to the
+      // largest half-window, reused across every particle of the range.
+      // r == 1 windows hold at most 4 cells — too short to fill vector
+      // lanes — so the per-cell scan stays.
       decltype(util::simd::kernels().nfi_halfwindow2) collect = nullptr;
       std::vector<std::int32_t> scratch;
       if (r >= 2) {
@@ -247,6 +157,10 @@ void nfi_range_into_owners(const std::vector<Point<D>>& particles,
           halfwindow_dense2(cells, level, p, r, norm, push);
         }
       };
+      // Hop distance is symmetric (the interconnects are undirected; the
+      // metric-property tests assert it), so the directed events
+      // (src, dst) and (dst, src) of each half-window pair fold to the
+      // same 2·d(src, dst) as a single count-2 entry on src's row.
       for (std::size_t i = lo; i < hi; ++i) {
         const topo::Rank src = own[i];
         std::uint64_t* row = acc.row(src);
@@ -270,71 +184,7 @@ void nfi_range_into_owners(const std::vector<Point<D>>& particles,
   }
 }
 
-/// Aggregated path for particles [lo, hi): populate a (src, dst) → count
-/// histogram, then hand it to the topology's fold kernel (factorized
-/// closed form, dense table, or streamed — the topology's choice).
-template <int D>
-core::CommTotals nfi_range_aggregated(
-    const std::vector<Point<D>>& particles, const OccupancyGrid<D>& grid,
-    const Partition& part, const std::vector<topo::Rank>& owners,
-    const topo::Topology& net, unsigned radius, NeighborNorm norm,
-    std::size_t lo, std::size_t hi) {
-  core::RankPairAccumulator acc(part.processors(), net);
-  nfi_range_into<D>(particles, grid, part, owners, acc, radius, norm, lo, hi);
-  return net.fold(acc.view());
-}
-
 }  // namespace
-
-template <int D>
-core::CommTotals nfi_totals(const std::vector<Point<D>>& particles,
-                            const OccupancyGrid<D>& grid,
-                            const Partition& part, const topo::Topology& net,
-                            unsigned radius, NeighborNorm norm,
-                            util::ThreadPool* pool) {
-  if (particles.empty()) return {};
-  // Build the shared rank-of-particle array once, outside the parallel
-  // region; each chunk folds through the topology's own kernel.
-  const std::vector<topo::Rank> owners = part.owner_table();
-  auto chunk = [&](std::size_t lo, std::size_t hi) {
-    return nfi_range_aggregated<D>(particles, grid, part, owners, net, radius,
-                                   norm, lo, hi);
-  };
-  if (pool == nullptr || pool->size() <= 1) {
-    return chunk(0, particles.size());
-  }
-  return util::parallel_reduce_chunks(*pool, 0, particles.size(),
-                                      util::kAutoGrain, core::CommTotals{},
-                                      chunk);
-}
-
-template <int D>
-core::RankPairAccumulator nfi_histogram(const std::vector<Point<D>>& particles,
-                                        const OccupancyGrid<D>& grid,
-                                        const Partition& part, unsigned radius,
-                                        NeighborNorm norm,
-                                        util::ThreadPool* pool) {
-  core::RankPairAccumulator acc(part.processors());
-  if (particles.empty()) return acc;
-  const std::vector<topo::Rank> owners = part.owner_table();
-  if (pool == nullptr || pool->size() <= 1) {
-    nfi_range_into<D>(particles, grid, part, owners, acc, radius, norm, 0,
-                      particles.size());
-    return acc;
-  }
-  // Per-worker shards written without synchronization, merged once:
-  // counts are integers and addition commutes, so the merged multiset —
-  // and every fold of it — is identical regardless of scheduling order.
-  core::RankPairShards shards(part.processors(), pool->size());
-  util::parallel_for_chunks(
-      *pool, 0, particles.size(), util::kAutoGrain,
-      [&](std::size_t lo, std::size_t hi) {
-        nfi_range_into<D>(particles, grid, part, owners, shards.local(),
-                          radius, norm, lo, hi);
-      });
-  shards.merge_into(acc);
-  return acc;
-}
 
 template <int D>
 core::RankPairAccumulator nfi_histogram_owners(
@@ -349,6 +199,9 @@ core::RankPairAccumulator nfi_histogram_owners(
                              particles.size());
     return acc;
   }
+  // Per-worker shards written without synchronization, merged once:
+  // counts are integers and addition commutes, so the merged multiset —
+  // and every fold of it — is identical regardless of scheduling order.
   core::RankPairShards shards(procs, pool->size());
   util::parallel_for_chunks(
       *pool, 0, particles.size(), util::kAutoGrain,
@@ -358,6 +211,26 @@ core::RankPairAccumulator nfi_histogram_owners(
       });
   shards.merge_into(acc);
   return acc;
+}
+
+template <int D>
+core::RankPairAccumulator nfi_histogram(const std::vector<Point<D>>& particles,
+                                        const OccupancyGrid<D>& grid,
+                                        const Partition& part, unsigned radius,
+                                        NeighborNorm norm,
+                                        util::ThreadPool* pool) {
+  return nfi_histogram_owners<D>(particles, grid, part.owner_table(),
+                                 part.processors(), radius, norm, pool);
+}
+
+template <int D>
+core::CommTotals nfi_totals(const std::vector<Point<D>>& particles,
+                            const OccupancyGrid<D>& grid,
+                            const Partition& part, const topo::Topology& net,
+                            unsigned radius, NeighborNorm norm,
+                            util::ThreadPool* pool) {
+  return net.fold(
+      nfi_histogram<D>(particles, grid, part, radius, norm, pool).view());
 }
 
 template <int D>

@@ -29,10 +29,11 @@ enum class NeighborNorm {
 /// `particles` must be the SFC-sorted list that `grid` and `part` were
 /// built from. Runs on `pool` when provided (deterministic either way).
 ///
-/// Hot path: events are aggregated into a (src rank, dst rank) → count
-/// histogram (core/rank_pair.hpp) and folded once against the topology's
-/// hop table, so the per-event work is a grid probe plus a count
-/// increment — no distance lookup. Bit-identical to nfi_totals_direct.
+/// Exactly net.fold(nfi_histogram(...).view()): events are aggregated into
+/// a (src rank, dst rank) → count histogram (core/rank_pair.hpp) and
+/// folded once by the topology's kernel, so the per-event work is a grid
+/// probe plus a count increment — no distance lookup. Bit-identical to
+/// nfi_totals_direct.
 template <int D>
 core::CommTotals nfi_totals(const std::vector<Point<D>>& particles,
                             const OccupancyGrid<D>& grid,
@@ -42,11 +43,9 @@ core::CommTotals nfi_totals(const std::vector<Point<D>>& particles,
                             util::ThreadPool* pool = nullptr);
 
 /// Topology-independent stage of nfi_totals: the (src rank, dst rank) →
-/// count histogram of the near-field events. The sweep engine caches one
-/// of these per (sample, particle order, p, radius, norm) and folds it
-/// against every topology / processor order that shares those inputs —
-/// net.fold(acc.view()) is bit-identical to nfi_totals over the same
-/// inputs. Deterministic with or without `pool`.
+/// count histogram of the near-field events, i.e. nfi_histogram_owners
+/// with the owner table of `part`. Deterministic with or without `pool`
+/// (per-worker shards, merged once).
 template <int D>
 core::RankPairAccumulator nfi_histogram(
     const std::vector<Point<D>>& particles, const OccupancyGrid<D>& grid,
@@ -54,14 +53,17 @@ core::RankPairAccumulator nfi_histogram(
     NeighborNorm norm = NeighborNorm::kChebyshev,
     util::ThreadPool* pool = nullptr);
 
-/// nfi_histogram over particles in *arbitrary* array order: `owners[i]`
-/// names the rank holding particles[i] explicitly instead of deriving it
-/// from a contiguous Partition of the array. Produces the identical
-/// histogram for the identical particle/owner assignment — the event
-/// multiset is a function of the particle positions and owners only, not
-/// of the array order — which lets the sweep engine enumerate one
-/// cell-sorted canonical copy of each sample and re-own it per particle
-/// curve instead of materializing a sorted copy per curve.
+/// The one NFI enumeration kernel, over particles in *arbitrary* array
+/// order: `owners[i]` names the rank holding particles[i] explicitly
+/// instead of deriving it from a contiguous Partition of the array.
+/// Produces the identical histogram for the identical particle/owner
+/// assignment — the event multiset is a function of the particle
+/// positions and owners only, not of the array order — which lets the
+/// sweep engine enumerate one cell-sorted canonical copy of each sample
+/// and re-own it per particle curve instead of materializing a sorted
+/// copy per curve. The engine caches one of these per (sample, particle
+/// order, p, radius, norm) and folds it against every topology and
+/// processor order that shares those inputs.
 template <int D>
 core::RankPairAccumulator nfi_histogram_owners(
     const std::vector<Point<D>>& particles, const OccupancyGrid<D>& grid,

@@ -226,10 +226,11 @@ struct Printer<Point<D>> {
 template <typename T>
 struct Printer<std::vector<T>> {
   static std::string print(const std::vector<T>& v) {
-    std::string s = "[" + std::to_string(v.size()) + " elems:";
+    std::string s = std::string("[") + std::to_string(v.size()) + " elems:";
     const std::size_t shown = v.size() < 16 ? v.size() : 16;
     for (std::size_t i = 0; i < shown; ++i) {
-      s += " " + Printer<T>::print(v[i]);
+      s += ' ';
+      s += Printer<T>::print(v[i]);
     }
     if (shown < v.size()) s += " ...";
     return s + "]";
@@ -239,7 +240,7 @@ struct Printer<std::vector<T>> {
 template <typename A, typename B>
 struct Printer<std::pair<A, B>> {
   static std::string print(const std::pair<A, B>& v) {
-    return "(" + Printer<A>::print(v.first) + ", " +
+    return std::string("(") + Printer<A>::print(v.first) + ", " +
            Printer<B>::print(v.second) + ")";
   }
 };
@@ -268,7 +269,7 @@ struct Printer<topo::TopologyKind> {
 template <>
 struct Printer<TopoCase> {
   static std::string print(const TopoCase& t) {
-    return "{" + std::string(topo::topology_name(t.kind)) +
+    return std::string("{") + std::string(topo::topology_name(t.kind)) +
            ", p=" + std::to_string(t.procs) + ", ranking=" +
            std::string(curve_name(t.ranking)) + "}";
   }

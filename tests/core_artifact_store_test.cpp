@@ -568,6 +568,32 @@ TEST(RankPairCodec, RejectsKeysThatAreNotStrictlyIncreasing) {
   }
 }
 
+TEST(RankPairCodec, RejectsADenseRecordAboveTheDenseBudget) {
+  // A forged 24-byte header claiming a dense 16384-rank histogram would
+  // otherwise allocate p² = 2^28 counts (2 GiB) before reading a pair.
+  std::size_t off = 0;
+  auto bytes = rank_pair_record(16384, /*dense=*/true, {});
+  EXPECT_FALSE(rank_pairs_deserialize(bytes.data(), bytes.size(), off));
+  // 2049² is the first p² past kDenseEntryBudget = 2048².
+  off = 0;
+  bytes = rank_pair_record(2049, /*dense=*/true, {});
+  EXPECT_FALSE(rank_pairs_deserialize(bytes.data(), bytes.size(), off));
+  off = 0;
+  bytes = rank_pair_record(2048, /*dense=*/true, {{1, 3}});
+  const auto at_budget =
+      rank_pairs_deserialize(bytes.data(), bytes.size(), off);
+  ASSERT_TRUE(at_budget.has_value());
+  EXPECT_TRUE(at_budget->dense());
+  EXPECT_EQ(at_budget->events(), 3u);
+  // The same claim in sparse mode allocates nothing up front.
+  off = 0;
+  bytes = rank_pair_record(16384, /*dense=*/false, {{7, 2}});
+  const auto sparse = rank_pairs_deserialize(bytes.data(), bytes.size(), off);
+  ASSERT_TRUE(sparse.has_value());
+  EXPECT_FALSE(sparse->dense());
+  EXPECT_EQ(sparse->events(), 2u);
+}
+
 TEST(RankPairCodec, RejectsAZeroCount) {
   for (const bool dense : {false, true}) {
     std::size_t off = 0;

@@ -1,6 +1,6 @@
-// Study-runner coverage for the extended registries: every implemented
-// curve and distribution must flow through the runners, and invalid
-// configurations must fail loudly rather than silently.
+// Study coverage for the extended registries: every implemented curve
+// and distribution must flow through run_study and run_anns_study, and
+// invalid configurations must fail loudly rather than silently.
 #include <gtest/gtest.h>
 
 #include "core/study.hpp"
@@ -8,67 +8,71 @@
 namespace sfc::core {
 namespace {
 
+/// Tables I/II design (both curve roles swept) on a small torus.
+Study combination_study(std::size_t particles, unsigned level,
+                        topo::Rank procs, std::uint64_t seed) {
+  Study s;
+  s.particles = particles;
+  s.level = level;
+  s.seed = seed;
+  s.radius = 1;
+  s.topologies = {topo::TopologyKind::kTorus};
+  s.proc_counts = {procs};
+  return s;
+}
+
 TEST(ExtendedStudy, AllSevenCurvesThroughCombinationStudy) {
-  CombinationStudyConfig cfg;
-  cfg.particles = 800;
-  cfg.level = 6;
-  cfg.procs = 64;
-  cfg.seed = 5;
-  cfg.distributions = {dist::DistKind::kUniform};
-  cfg.curves.assign(std::begin(kAllCurves), std::end(kAllCurves));
-  const auto result = run_combination_study(cfg);
-  ASSERT_EQ(result.cells[0].size(), 7u);
-  ASSERT_EQ(result.cells[0][0].size(), 7u);
-  for (const auto& row : result.cells[0]) {
-    for (const auto& cell : row) {
-      EXPECT_GT(cell.nfi_acd + cell.ffi_acd, 0.0);
-    }
+  Study s = combination_study(800, 6, 64, 5);
+  s.distributions = {dist::DistKind::kUniform};
+  s.particle_curves.assign(std::begin(kAllCurves), std::end(kAllCurves));
+  s.processor_curves = s.particle_curves;
+  const StudyResult result = run_study(s);
+  ASSERT_EQ(result.cells.size(), 7u * 7u);
+  for (const AcdCell& cell : result.cells) {
+    EXPECT_GT(cell.nfi_acd + cell.ffi_acd, 0.0);
   }
 }
 
 TEST(ExtendedStudy, MooreTracksHilbertClosely) {
-  CombinationStudyConfig cfg;
-  cfg.particles = 2000;
-  cfg.level = 7;
-  cfg.procs = 256;
-  cfg.seed = 6;
-  cfg.distributions = {dist::DistKind::kUniform};
-  cfg.curves = {CurveKind::kHilbert, CurveKind::kMoore,
-                CurveKind::kRowMajor};
-  const auto result = run_combination_study(cfg);
-  const double hh = result.cells[0][0][0].nfi_acd;
-  const double mm = result.cells[0][1][1].nfi_acd;
-  const double rr = result.cells[0][2][2].nfi_acd;
+  Study s = combination_study(2000, 7, 256, 6);
+  s.distributions = {dist::DistKind::kUniform};
+  s.particle_curves = {CurveKind::kHilbert, CurveKind::kMoore,
+                       CurveKind::kRowMajor};
+  s.processor_curves = s.particle_curves;
+  const StudyResult result = run_study(s);
+  const double hh = result.cell(0, 0, 0, 0, 0).nfi_acd;
+  const double mm = result.cell(0, 1, 0, 1, 0).nfi_acd;
+  const double rr = result.cell(0, 2, 0, 2, 0).nfi_acd;
   EXPECT_LT(std::abs(hh - mm), 0.35 * hh);  // the loop ~ the open curve
   EXPECT_GT(rr, 2.0 * std::max(hh, mm));
 }
 
 TEST(ExtendedStudy, ExtendedDistributionsThroughCombinationStudy) {
-  CombinationStudyConfig cfg;
-  cfg.particles = 600;
-  cfg.level = 6;
-  cfg.procs = 64;
-  cfg.seed = 7;
-  cfg.distributions.assign(std::begin(dist::kExtendedDistributions),
-                           std::end(dist::kExtendedDistributions));
-  cfg.curves = {CurveKind::kHilbert};
-  const auto result = run_combination_study(cfg);
+  Study s = combination_study(600, 6, 64, 7);
+  s.distributions.assign(std::begin(dist::kExtendedDistributions),
+                         std::end(dist::kExtendedDistributions));
+  s.particle_curves = {CurveKind::kHilbert};
+  s.processor_curves = s.particle_curves;
+  const StudyResult result = run_study(s);
   const std::size_t dists = std::size(dist::kExtendedDistributions);
   ASSERT_EQ(result.cells.size(), dists);
   for (std::size_t d = 0; d < dists; ++d) {
-    EXPECT_GT(result.cells[d][0][0].nfi_acd + result.cells[d][0][0].ffi_acd,
-              0.0)
-        << dist_name(cfg.distributions[d]);
+    const AcdCell& cell = result.cell(d, 0, 0, 0, 0);
+    EXPECT_GT(cell.nfi_acd + cell.ffi_acd, 0.0)
+        << dist_name(s.distributions[d]);
   }
 }
 
 TEST(ExtendedStudy, InvalidTorusSizeThrows) {
-  ScalingStudyConfig cfg;
-  cfg.particles = 200;
-  cfg.level = 5;
-  cfg.proc_counts = {48};  // not a square power of two
-  cfg.curves = {CurveKind::kHilbert};
-  EXPECT_THROW(run_scaling_study(cfg), std::invalid_argument);
+  // Figure 7 design (processor counts swept, curves paired).
+  Study s;
+  s.particles = 200;
+  s.level = 5;
+  s.distributions = {dist::DistKind::kUniform};
+  s.particle_curves = {CurveKind::kHilbert};
+  s.topologies = {topo::TopologyKind::kTorus};
+  s.proc_counts = {48};  // not a square power of two
+  EXPECT_THROW(run_study(s), std::invalid_argument);
 }
 
 TEST(ExtendedStudy, AnnsStudyWithLargerRadiusAndAllCurves) {
@@ -87,22 +91,19 @@ TEST(ExtendedStudy, AnnsStudyWithLargerRadiusAndAllCurves) {
 }
 
 TEST(ExtendedStudy, NfiOnlyAndFfiOnlyModesSkipTheOther) {
-  CombinationStudyConfig cfg;
-  cfg.particles = 400;
-  cfg.level = 5;
-  cfg.procs = 16;
-  cfg.seed = 8;
-  cfg.distributions = {dist::DistKind::kUniform};
-  cfg.curves = {CurveKind::kMorton};
-  cfg.far_field = false;
-  const auto nfi_only = run_combination_study(cfg);
-  EXPECT_GT(nfi_only.cells[0][0][0].nfi_acd, 0.0);
-  EXPECT_EQ(nfi_only.cells[0][0][0].ffi_acd, 0.0);
-  cfg.far_field = true;
-  cfg.near_field = false;
-  const auto ffi_only = run_combination_study(cfg);
-  EXPECT_EQ(ffi_only.cells[0][0][0].nfi_acd, 0.0);
-  EXPECT_GT(ffi_only.cells[0][0][0].ffi_acd, 0.0);
+  Study s = combination_study(400, 5, 16, 8);
+  s.distributions = {dist::DistKind::kUniform};
+  s.particle_curves = {CurveKind::kMorton};
+  s.processor_curves = s.particle_curves;
+  s.far_field = false;
+  const StudyResult nfi_only = run_study(s);
+  EXPECT_GT(nfi_only.cell(0, 0, 0, 0, 0).nfi_acd, 0.0);
+  EXPECT_EQ(nfi_only.cell(0, 0, 0, 0, 0).ffi_acd, 0.0);
+  s.far_field = true;
+  s.near_field = false;
+  const StudyResult ffi_only = run_study(s);
+  EXPECT_EQ(ffi_only.cell(0, 0, 0, 0, 0).nfi_acd, 0.0);
+  EXPECT_GT(ffi_only.cell(0, 0, 0, 0, 0).ffi_acd, 0.0);
 }
 
 TEST(ExtendedStudy, WeightedPartitionSameCommunicationsDifferentHops) {

@@ -414,5 +414,36 @@ TEST(SweepEngine, InvalidTorusSizeThrows) {
   EXPECT_THROW(run_study(s, direct), std::invalid_argument);
 }
 
+TEST(SweepEngine, InvalidScalarParametersThrowBeforeAnyWork) {
+  Study zero_trials = toy_topology_study();
+  zero_trials.trials = 0;
+  Study too_deep = toy_topology_study();
+  too_deep.level = max_level<2>() + 1;
+  Study too_dense = toy_topology_study();
+  too_dense.level = 4;
+  too_dense.particles = 257;  // a level-4 grid has 4^4 = 256 cells
+  Study full = too_dense;
+  full.particles = 256;  // exactly full is valid
+  util::ThreadPool pool(2);
+  for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+    for (const bool reuse : {true, false}) {
+      SweepOptions options;
+      options.pool = p;
+      options.reuse = reuse;
+      std::size_t cells_done = 0;
+      options.progress = [&](const StudyCellRef&, double) { ++cells_done; };
+      for (const Study* s : {&zero_trials, &too_deep, &too_dense}) {
+        EXPECT_THROW(run_study(*s, options), std::invalid_argument)
+            << "trials " << s->trials << " level " << s->level
+            << " particles " << s->particles << " reuse " << reuse
+            << " pool " << (p != nullptr);
+      }
+      EXPECT_EQ(cells_done, 0u);
+      EXPECT_NO_THROW(run_study(full, options));
+      EXPECT_EQ(cells_done, full.cell_count());
+    }
+  }
+}
+
 }  // namespace
 }  // namespace sfc::core
