@@ -17,11 +17,9 @@ namespace sfc::bench {
 
 /// Register the options every harness shares.
 inline void add_common_options(util::ArgParser& args) {
-  args.add_flag("full", "run at the paper's exact scale (slow on laptops)");
   args.add_flag("csv", "emit CSV instead of ASCII tables");
   args.add_flag("progress", "report per-cell progress on stderr");
   args.add_option("seed", "master RNG seed", "1");
-  args.add_option("trials", "independent trials to average", "1");
 }
 
 /// Standard prologue: parse or die; handle --help. Exits the process with

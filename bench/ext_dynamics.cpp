@@ -101,8 +101,7 @@ int main(int argc, char** argv) {
               << " drift steps at move fraction " << study.move_fraction
               << " ==\n\n";
 
-    const core::DynamicsOptions options{h.pool(), nullptr};
-    const core::DynamicsResult result = core::run_dynamics(study, options);
+    const core::DynamicsResult result = core::run_dynamics(study, h.pool());
 
     util::Table table(
         "NFI ACD per iteration: frozen vs re-sorted vs advisor chunking");

@@ -6,9 +6,10 @@
 // the machinery is identical, which is itself a point about the ACD
 // abstraction.
 #include <iostream>
+#include <utility>
 
 #include "bench_common.hpp"
-#include "fmm/enumerate.hpp"
+#include "fmm/nfi.hpp"
 
 int main(int argc, char** argv) {
   using namespace sfc;
@@ -47,29 +48,27 @@ int main(int argc, char** argv) {
     const auto net = topo::make_topology<2>(topo::TopologyKind::kTorus,
                                             procs, curve.get());
 
-    // 5-point stencil: Manhattan-1 neighbors; 9-point: Chebyshev-1.
-    const auto five = instance.nfi(part, *net, 1,
-                                   fmm::NeighborNorm::kManhattan);
-    const auto nine = instance.nfi(part, *net, 1,
-                                   fmm::NeighborNorm::kChebyshev);
-    // Remote fraction: communications that actually cross processors.
-    auto remote_fraction = [&](const core::CommTotals& t,
-                               fmm::NeighborNorm norm) {
-      core::CommTotals local;
-      fmm::nfi_visit<2>(instance.particles(), instance.grid(), 1, norm,
-                        [&](std::size_t a, std::size_t b) {
-                          if (part.proc_of(a) != part.proc_of(b)) {
-                            ++local.count;
-                          }
-                        });
-      return static_cast<double>(local.count) /
-             static_cast<double>(t.count);
+    // 5-point stencil: Manhattan-1 neighbors; 9-point: Chebyshev-1. One
+    // NFI histogram per stencil gives its ACD (the fold) and its remote
+    // fraction: the off-diagonal counts, communications that actually
+    // cross processors.
+    auto stencil = [&](fmm::NeighborNorm norm) -> std::pair<double, double> {
+      const core::RankPairAccumulator hist = fmm::nfi_histogram<2>(
+          instance.particles(), instance.grid(), part, 1, norm);
+      const core::CommTotals totals = net->fold(hist.view());
+      std::uint64_t remote = 0;
+      hist.for_each([&](topo::Rank a, topo::Rank b, std::uint64_t count) {
+        if (a != b) remote += count;
+      });
+      return {static_cast<double>(remote) / static_cast<double>(totals.count),
+              totals.acd()};
     };
+    const auto [five_remote, five_acd] =
+        stencil(fmm::NeighborNorm::kManhattan);
+    const auto [nine_remote, nine_acd] =
+        stencil(fmm::NeighborNorm::kChebyshev);
     table.add_row(std::string(curve_name(kind)),
-                  {remote_fraction(five, fmm::NeighborNorm::kManhattan),
-                   five.acd(),
-                   remote_fraction(nine, fmm::NeighborNorm::kChebyshev),
-                   nine.acd()});
+                  {five_remote, five_acd, nine_remote, nine_acd});
     if (args.flag("progress")) {
       std::cerr << "  .. " << curve_name(kind) << " done\n";
     }

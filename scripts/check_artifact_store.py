@@ -16,8 +16,8 @@ Per file named `<stage>-<hex16>.sfcart`:
     header's raw key (u64 at offset 16) and provenance (u64 at 24)
   - payload_bytes (u64 at offset 32) == file size - 48 exactly
   - checksum (u64 at offset 40) == FNV-1a over the payload
-  - only persistable stages appear (sample/topology/delta never
-    touch disk)
+  - only persistable stages appear (sample/topology never touch
+    disk)
 Across files:
   - with --single-provenance, every file must share one provenance
     (u64 at offset 24). A mixed-provenance directory is legal — the
@@ -46,7 +46,7 @@ HEADER_LEN = 48
 # seeing any other name on disk is a writer bug.
 STAGE_NAMES = [
     "sample", "canonical", "ordering", "instance",
-    "nfi_histogram", "ffi_histogram", "topology", "delta", "fold",
+    "nfi_histogram", "ffi_histogram", "topology", "fold",
 ]
 PERSISTABLE = {"canonical", "ordering", "instance",
                "nfi_histogram", "ffi_histogram", "fold"}
@@ -135,7 +135,7 @@ def main():
     parser.add_argument("--min-files", type=int, default=1,
                         help="fail unless at least N valid artifacts "
                              "(default 1)")
-    parser.add_argument("--format-version", type=int, default=1,
+    parser.add_argument("--format-version", type=int, default=2,
                         help="expected on-disk format version")
     parser.add_argument("--single-provenance", action="store_true",
                         help="fail if artifacts from more than one build "

@@ -39,10 +39,10 @@
 
 namespace sfc::core {
 
-/// Bump on any change to the header layout or a stage's payload
-/// encoding: old files then validate as foreign and are treated as
-/// misses (and eventually evicted by the byte budget).
-inline constexpr std::uint32_t kArtifactStoreFormatVersion = 1;
+/// Bump on any change to the header layout, a stage id or a stage's
+/// payload encoding: old files then validate as foreign and are treated
+/// as misses (and eventually evicted by the byte budget).
+inline constexpr std::uint32_t kArtifactStoreFormatVersion = 2;
 
 /// Default on-disk budget: 4 GiB holds several paper-scale sweeps'
 /// worth of histograms and instances.

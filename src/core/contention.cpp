@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "fmm/enumerate.hpp"
+#include "fmm/ffi.hpp"
+#include "fmm/nfi.hpp"
 
 namespace sfc::core {
 
@@ -94,42 +95,69 @@ std::uint64_t LinkLoadMap::link_load(std::uint32_t x, std::uint32_t y,
 
 namespace {
 
-LinkLoadMap route_messages(const AcdInstance<2>& instance,
-                           const fmm::Partition& part,
-                           const topo::GridTopologyBase<2>& net, bool wrap,
-                           unsigned radius, const fmm::NeighborNorm* norm) {
-  LinkLoadMap map(net.level(), wrap);
-  // Aggregate the communication set into per-rank-pair counts, then walk
-  // each distinct pair's path once with its multiplicity: O(pairs · hops)
-  // link updates instead of O(events · hops). Loads are additive, so the
-  // stats are identical to routing every event.
-  const core::RankPairAccumulator pairs =
-      norm != nullptr
-          ? fmm::nfi_pair_counts<2>(instance.particles(), instance.grid(),
-                                    part, radius, *norm)
-          : fmm::ffi_pair_counts<2>(instance.tree(), part);
-  pairs.view().for_each(
-      [&](topo::Rank from, topo::Rank to, std::uint64_t count) {
-        map.route(net.coordinate(from), net.coordinate(to), count);
-      });
-  return map;
+/// Walk each distinct pair's path once with its multiplicity: O(pairs ·
+/// hops) link updates instead of O(events · hops). Loads are additive, so
+/// the loads are identical to routing every event of `pairs` on its own.
+void route_pairs(LinkLoadMap& map, const RankPairAccumulator& pairs,
+                 const topo::GridTopologyBase<2>& net, bool both_ways) {
+  pairs.for_each([&](topo::Rank from, topo::Rank to, std::uint64_t count) {
+    map.route(net.coordinate(from), net.coordinate(to), count);
+    if (both_ways) map.route(net.coordinate(to), net.coordinate(from), count);
+  });
 }
 
 }  // namespace
+
+LinkLoadMap nfi_link_loads(const AcdInstance<2>& instance,
+                           const fmm::Partition& part,
+                           const topo::GridTopologyBase<2>& net, bool wrap,
+                           unsigned radius, fmm::NeighborNorm norm) {
+  const RankPairAccumulator counts = fmm::nfi_histogram<2>(
+      instance.particles(), instance.grid(), part, radius, norm);
+  // The histogram is exact for hop sums but not for directions: the
+  // dense-grid kernel records each particle pair as a count of 2 in one
+  // spatial orientation. The near-field set itself is symmetric (j is in
+  // i's ball iff i is in j's), so a→b carries half of c(a,b) + c(b,a)
+  // messages, and b→a the other half. The split matters here because
+  // dimension-order routing sends a→b and b→a over different links.
+  RankPairAccumulator both_ways(counts.procs());
+  counts.for_each([&](topo::Rank a, topo::Rank b, std::uint64_t count) {
+    both_ways.add(a, b, count);
+    both_ways.add(b, a, count);
+  });
+  LinkLoadMap map(net.level(), wrap);
+  both_ways.for_each([&](topo::Rank a, topo::Rank b, std::uint64_t count) {
+    map.route(net.coordinate(a), net.coordinate(b), count / 2);
+  });
+  return map;
+}
+
+LinkLoadMap ffi_link_loads(const AcdInstance<2>& instance,
+                           const fmm::Partition& part,
+                           const topo::GridTopologyBase<2>& net, bool wrap) {
+  LinkLoadMap map(net.level(), wrap);
+  const fmm::FfiHistograms pairs =
+      fmm::ffi_histograms<2>(instance.tree(), part);
+  // Interpolation pairs travel child -> parent and, mirrored by
+  // anterpolation, parent -> child.
+  route_pairs(map, pairs.interpolation, net, true);
+  route_pairs(map, pairs.interaction, net, false);
+  return map;
+}
 
 CongestionStats nfi_congestion(const AcdInstance<2>& instance,
                                const fmm::Partition& part,
                                const topo::GridTopologyBase<2>& net,
                                bool wrap, unsigned radius,
                                fmm::NeighborNorm norm) {
-  return route_messages(instance, part, net, wrap, radius, &norm).stats();
+  return nfi_link_loads(instance, part, net, wrap, radius, norm).stats();
 }
 
 CongestionStats ffi_congestion(const AcdInstance<2>& instance,
                                const fmm::Partition& part,
                                const topo::GridTopologyBase<2>& net,
                                bool wrap) {
-  return route_messages(instance, part, net, wrap, 0, nullptr).stats();
+  return ffi_link_loads(instance, part, net, wrap).stats();
 }
 
 }  // namespace sfc::core

@@ -52,9 +52,9 @@ class LinkLoadMap {
 
   /// Route `count` identical messages between processor grid coordinates
   /// in one link walk (loads are additive, so this is exactly `count`
-  /// unit routes). The congestion models aggregate their communication
-  /// sets into per-rank-pair counts first (fmm::nfi_pair_counts /
-  /// ffi_pair_counts) and call this once per distinct pair.
+  /// unit routes). The congestion models route the rank-pair histograms
+  /// the ACD engines build (fmm::nfi_histogram / ffi_histograms), once per
+  /// distinct pair.
   void route(const Point2& from, const Point2& to, std::uint64_t count = 1);
 
   CongestionStats stats() const;
@@ -73,8 +73,23 @@ class LinkLoadMap {
   std::vector<std::uint64_t> load_;  // [ (y*side + x) * 4 + dir ]
 };
 
-/// Congestion of the near-field communication set of a prepared instance
-/// on an SFC-ranked grid topology.
+/// Per-link loads of the near-field communication set of a prepared
+/// instance on an SFC-ranked grid topology: every message routed in its
+/// own direction, exactly as if each event were routed one at a time.
+LinkLoadMap nfi_link_loads(const AcdInstance<2>& instance,
+                           const fmm::Partition& part,
+                           const topo::GridTopologyBase<2>& net, bool wrap,
+                           unsigned radius,
+                           fmm::NeighborNorm norm =
+                               fmm::NeighborNorm::kChebyshev);
+
+/// Per-link loads of the far-field communication set (interpolation,
+/// anterpolation and interaction messages).
+LinkLoadMap ffi_link_loads(const AcdInstance<2>& instance,
+                           const fmm::Partition& part,
+                           const topo::GridTopologyBase<2>& net, bool wrap);
+
+/// nfi_link_loads(...).stats().
 CongestionStats nfi_congestion(const AcdInstance<2>& instance,
                                const fmm::Partition& part,
                                const topo::GridTopologyBase<2>& net,
@@ -82,7 +97,7 @@ CongestionStats nfi_congestion(const AcdInstance<2>& instance,
                                fmm::NeighborNorm norm =
                                    fmm::NeighborNorm::kChebyshev);
 
-/// Congestion of the far-field communication set.
+/// ffi_link_loads(...).stats().
 CongestionStats ffi_congestion(const AcdInstance<2>& instance,
                                const fmm::Partition& part,
                                const topo::GridTopologyBase<2>& net,

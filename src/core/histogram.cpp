@@ -4,18 +4,20 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "fmm/enumerate.hpp"
+#include "fmm/ffi.hpp"
+#include "fmm/nfi.hpp"
 
 namespace sfc::core {
 
 HopHistogram::HopHistogram(std::uint64_t max_distance)
     : bins_(max_distance + 1, 0) {}
 
-void HopHistogram::add(std::uint64_t distance) {
+void HopHistogram::add(std::uint64_t distance, std::uint64_t count) {
+  if (count == 0) return;
   if (distance >= bins_.size()) bins_.resize(distance + 1, 0);
-  ++bins_[distance];
-  ++total_;
-  hops_ += distance;
+  bins_[distance] += count;
+  total_ += count;
+  hops_ += distance * count;
   max_seen_ = std::max(max_seen_, distance);
 }
 
@@ -60,16 +62,28 @@ std::string HopHistogram::ascii(unsigned width) const {
   return os.str();
 }
 
+namespace {
+
+/// Add every distinct pair of `pairs` to `hist`, `times` times over, at
+/// its hop distance: one distance() call per pair, not per event.
+void add_pairs(HopHistogram& hist, const RankPairAccumulator& pairs,
+               const topo::Topology& net, std::uint64_t times) {
+  pairs.for_each([&](topo::Rank a, topo::Rank b, std::uint64_t count) {
+    hist.add(net.distance(a, b), count * times);
+  });
+}
+
+}  // namespace
+
 HopHistogram nfi_histogram(const AcdInstance<2>& instance,
                            const fmm::Partition& part,
                            const topo::Topology& net, unsigned radius,
                            fmm::NeighborNorm norm) {
   HopHistogram hist(net.diameter());
-  fmm::nfi_visit<2>(instance.particles(), instance.grid(), radius, norm,
-                    [&](std::size_t i, std::size_t j) {
-                      hist.add(net.distance(part.proc_of(i),
-                                            part.proc_of(j)));
-                    });
+  add_pairs(hist,
+            fmm::nfi_histogram<2>(instance.particles(), instance.grid(), part,
+                                  radius, norm),
+            net, 1);
   return hist;
 }
 
@@ -77,12 +91,12 @@ HopHistogram ffi_histogram(const AcdInstance<2>& instance,
                            const fmm::Partition& part,
                            const topo::Topology& net) {
   HopHistogram hist(net.diameter());
-  fmm::ffi_visit<2>(instance.tree(),
-                    [&](std::uint32_t from, std::uint32_t to,
-                        fmm::FfiComponent) {
-                      hist.add(net.distance(part.proc_of(from),
-                                            part.proc_of(to)));
-                    });
+  const fmm::FfiHistograms pairs =
+      fmm::ffi_histograms<2>(instance.tree(), part);
+  // Anterpolation mirrors interpolation pair for pair, and distance() is
+  // symmetric, so each interpolation pair stands for two communications.
+  add_pairs(hist, pairs.interpolation, net, 2);
+  add_pairs(hist, pairs.interaction, net, 1);
   return hist;
 }
 

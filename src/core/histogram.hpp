@@ -4,7 +4,11 @@
 // capacity planning the tail matters just as much (a p99 of
 // diameter-length paths serializes differently than a uniform spread of
 // short hops). This extension materializes the full hop-distance histogram
-// of the NFI/FFI communication sets, with exact percentiles.
+// of the NFI/FFI communication sets, with exact percentiles. The hop
+// distribution depends only on the rank-pair histograms the ACD engines
+// already build (fmm::nfi_histogram, fmm::ffi_histograms), so it is a fold
+// of those: one distance() call per distinct rank pair, weighted by the
+// pair's count.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +24,8 @@ class HopHistogram {
   /// Bins cover distances 0..max_distance (one bin per hop count).
   explicit HopHistogram(std::uint64_t max_distance);
 
-  void add(std::uint64_t distance);
+  /// Record `count` communications of `distance` hops.
+  void add(std::uint64_t distance, std::uint64_t count = 1);
 
   std::uint64_t total() const noexcept { return total_; }
   std::uint64_t hops() const noexcept { return hops_; }

@@ -1,7 +1,6 @@
 #include "core/rank_pair.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstring>
 
 namespace sfc::core {
@@ -10,17 +9,6 @@ RankPairAccumulator::RankPairAccumulator(topo::Rank procs,
                                          std::size_t dense_budget)
     : p_(procs),
       is_dense_(static_cast<std::size_t>(procs) * procs <= dense_budget) {
-  if (is_dense_) {
-    dense_.assign(static_cast<std::size_t>(p_) * p_, 0u);
-  }
-}
-
-RankPairAccumulator::RankPairAccumulator(topo::Rank procs,
-                                         const topo::Topology& net,
-                                         std::size_t dense_budget)
-    : p_(procs),
-      is_dense_(pick_dense(procs, dense_budget, net.fold_strategy())) {
-  assert(net.size() == procs);
   if (is_dense_) {
     dense_.assign(static_cast<std::size_t>(p_) * p_, 0u);
   }

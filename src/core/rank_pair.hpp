@@ -37,28 +37,9 @@ class RankPairAccumulator {
   /// Dense-mode budget: p² count entries at 8 bytes each (32 MiB).
   static constexpr std::size_t kDenseEntryBudget = std::size_t{1} << 22;
 
-  /// Whether a histogram for `procs` ranks should use the dense p² array.
-  /// When the fold strategy is not kDense the p² counts are only ever
-  /// walked once by a factorized/streamed kernel, so an enlarged caller
-  /// budget is clamped back to the default — million-rank runs must never
-  /// attempt the dense allocation no matter what budget they inherit.
-  static bool pick_dense(topo::Rank procs, std::size_t dense_budget,
-                         topo::FoldStrategy strategy) noexcept {
-    if (strategy != topo::FoldStrategy::kDense &&
-        dense_budget > kDenseEntryBudget) {
-      dense_budget = kDenseEntryBudget;
-    }
-    return static_cast<std::size_t>(procs) * procs <= dense_budget;
-  }
-
   /// `dense_budget` is a test hook: pass 0 to force the sparse fallback.
   explicit RankPairAccumulator(topo::Rank procs,
                                std::size_t dense_budget = kDenseEntryBudget);
-
-  /// Histogram destined for `net`: the dense/sparse pick threads the
-  /// topology's fold strategy through pick_dense().
-  RankPairAccumulator(topo::Rank procs, const topo::Topology& net,
-                      std::size_t dense_budget = kDenseEntryBudget);
 
   topo::Rank procs() const noexcept { return p_; }
   bool dense() const noexcept { return is_dense_; }
@@ -194,8 +175,9 @@ void rank_pairs_serialize(const RankPairAccumulator& acc,
 /// Decode the record at `offset` in [data, data+size), advancing offset
 /// past it. The restored accumulator reproduces the recorded dense or
 /// sparse mode exactly (via the ctor's budget hook), independent of what
-/// pick_dense would choose today, and comes back sealed: the pairs fill
-/// the sorted list (or the dense array) directly, with no re-sort.
+/// the default budget would choose today, and comes back sealed: the
+/// pairs fill the sorted list (or the dense array) directly, with no
+/// re-sort.
 /// Returns nullopt on malformed bytes — a key out of range, keys not
 /// strictly increasing, a zero count, or a dense record with p² above
 /// kDenseEntryBudget (no producer writes any of these). The artifact store's checksum makes that unreachable for

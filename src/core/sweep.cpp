@@ -39,8 +39,6 @@ std::string_view sweep_stage_name(SweepStage stage) noexcept {
       return "ffi_histogram";
     case SweepStage::kTopology:
       return "topology";
-    case SweepStage::kDelta:
-      return "delta";
     case SweepStage::kFold:
       return "fold";
   }
@@ -80,7 +78,7 @@ void publish_sweep_metrics(const SweepStats& stats) {
 constexpr const char* kStageSpanNames[kSweepStageCount] = {
     "sweep/sample",        "sweep/canonical",     "sweep/ordering",
     "sweep/instance",      "sweep/nfi_histogram", "sweep/ffi_histogram",
-    "sweep/topology",      "sweep/delta",         "sweep/fold",
+    "sweep/topology",      "sweep/fold",
 };
 
 constexpr const char* stage_span_name(SweepStage stage) noexcept {
@@ -268,11 +266,11 @@ struct DrainJob {
 
 /// Stages with an on-disk representation. kSample is superseded by
 /// kCanonical (same content, already cell-sorted); kTopology is cheap to
-/// rebuild and validation must stay on the coordinator; kDelta results
-/// belong to run_dynamics. kFold persists its two doubles, and the plan
-/// requests a fold's inputs only when the fold itself must be built, so
-/// a warm rerun maps and decodes nothing but those 24-byte payloads; the
-/// upstream files serve only the folds the store lacks.
+/// rebuild and validation must stay on the coordinator. kFold persists
+/// its two doubles, and the plan requests a fold's inputs only when the
+/// fold itself must be built, so a warm rerun maps and decodes nothing
+/// but those 24-byte payloads; the upstream files serve only the folds
+/// the store lacks.
 bool store_persistable(SweepStage stage) noexcept {
   switch (stage) {
     case SweepStage::kCanonical:
@@ -801,34 +799,24 @@ StudyResult run_reuse(const Study& s, const SweepOptions& o) {
                 s.paired_curves() ? pkind : s.processor_curves[rc];
             for (std::size_t ti = 0; ti < s.topologies.size(); ++ti) {
               const topo::TopologyKind tkind = s.topologies[ti];
-              // The planned fold strategy is part of the key: a strategy
-              // change (new kernel, budget change) must not resurrect
-              // payloads sized for the old plan.
-              const topo::FoldStrategy planned_fold =
-                  topo::planned_fold_strategy(tkind, procs);
               const std::uint64_t topo_key =
                   key_of({static_cast<std::uint64_t>(tkind), procs,
                           topology_uses_ranking(tkind)
                               ? static_cast<std::uint64_t>(rkind)
-                              : kNoRanking,
-                          static_cast<std::uint64_t>(planned_fold)});
+                              : kNoRanking});
               PlanNode* topology = plan(
                   SweepStage::kTopology, topo_key, [] { return Deps{}; },
-                  [tkind, procs, rkind, planned_fold](const PlanNode&) {
+                  [tkind, procs, rkind](const PlanNode&) {
                     const obs::Span span(
                         stage_span_name(SweepStage::kTopology));
                     const auto ranking = make_curve<2>(rkind);
                     std::shared_ptr<const topo::Topology> net =
                         topo::make_topology<2>(tkind, procs, ranking.get());
-                    // Payload estimate: per-rank coordinates plus the hop
-                    // table only a dense-strategy fold would materialize
-                    // (factorized kernels never touch p×p state).
-                    std::size_t bytes = static_cast<std::size_t>(procs) * 2 *
-                                        sizeof(topo::Rank);
-                    if (planned_fold == topo::FoldStrategy::kDense) {
-                      bytes += static_cast<std::size_t>(procs) * procs *
-                               sizeof(std::uint32_t);
-                    }
+                    // Payload estimate: per-rank coordinates (every paper
+                    // topology folds by a factorized kernel, which holds
+                    // no p×p state).
+                    const std::size_t bytes = static_cast<std::size_t>(procs) *
+                                              2 * sizeof(topo::Rank);
                     return Artifact{std::move(net), bytes};
                   });
               // Topologies are built here, on the coordinator: they are
@@ -1016,25 +1004,8 @@ StudyResult run_study(const Study& study, const SweepOptions& options) {
 
 // ----------------------------------------------------------------- dynamics
 
-namespace {
-
-/// Scenario half of the delta-stage key: every parameter the trajectory
-/// depends on. The step loop then chains each batch's (index, target)
-/// pairs on top, so a key names one exact prefix of one exact trajectory.
-std::uint64_t dynamics_base_key(const DynamicsStudy& s) {
-  return key_of({s.particles, s.level, s.radius,
-                 static_cast<std::uint64_t>(s.norm), s.seed,
-                 static_cast<std::uint64_t>(s.curve),
-                 static_cast<std::uint64_t>(s.topology),
-                 static_cast<std::uint64_t>(s.distribution), s.procs,
-                 std::bit_cast<std::uint64_t>(s.move_fraction),
-                 std::bit_cast<std::uint64_t>(s.repartition_threshold)});
-}
-
-}  // namespace
-
 DynamicsResult run_dynamics(const DynamicsStudy& study,
-                            const DynamicsOptions& options) {
+                            util::ThreadPool* pool) {
   DynamicsResult result;
   result.study = study;
   result.steps.reserve(study.steps);
@@ -1050,13 +1021,6 @@ DynamicsResult run_dynamics(const DynamicsStudy& study,
   const std::vector<Point2> sample =
       dist::sample_particles<2>(study.distribution, cfg);
 
-  // Current positions in the *frozen* order — the order DynamicAcd's
-  // constructor produces and, with re-partitioning disabled, keeps.
-  // Maintained by plain assignment so fully cached steps never pay for
-  // an engine at all.
-  std::vector<Point2> positions =
-      sort_by_curve<2>(sample, study.level, *curve);
-
   DynamicAcd<2>::Options frozen_opts;
   frozen_opts.radius = study.radius;
   frozen_opts.norm = study.norm;
@@ -1064,84 +1028,45 @@ DynamicsResult run_dynamics(const DynamicsStudy& study,
   DynamicAcd<2>::Options lazy_opts = frozen_opts;
   lazy_opts.repartition_threshold = study.repartition_threshold;
 
-  std::optional<DynamicAcd<2>> frozen;
-  std::optional<DynamicAcd<2>> lazy;
-  // Batches applied so far (frozen index space), replayed if the first
-  // cache miss arrives mid-trajectory.
-  std::vector<std::vector<ParticleMove2>> history;
+  // The frozen engine never re-partitions, so its particles() stay in the
+  // order its constructor sorted them into: the index space every step's
+  // moves are drawn in.
+  DynamicAcd<2> frozen(sample, study.level, *curve, study.procs, frozen_opts,
+                       pool);
+  DynamicAcd<2> lazy(sample, study.level, *curve, study.procs, lazy_opts,
+                     pool);
 
-  // Apply one frozen-order batch to both engines. The lazy engine's array
-  // order diverges once it re-partitions, so its copy of the batch is
-  // re-keyed through the pre-move positions (a move is physically
-  // position-keyed; frozen->particles() holds the pre-move state because
-  // translation happens before either engine applies the batch).
-  const auto apply_batch = [&](const std::vector<ParticleMove2>& batch) {
-    std::vector<ParticleMove2> lazy_batch;
-    lazy_batch.reserve(batch.size());
-    for (const ParticleMove2& mv : batch) {
-      const std::int32_t idx = lazy->index_at(frozen->particles()[mv.index]);
-      lazy_batch.push_back({static_cast<std::uint32_t>(idx), mv.to});
-    }
-    frozen->move_particles(batch, options.pool);
-    lazy->move_particles(lazy_batch, options.pool);
-  };
-
-  const auto materialize = [&]() {
-    if (frozen) return;
-    frozen.emplace(sample, study.level, *curve, study.procs, frozen_opts,
-                   options.pool);
-    lazy.emplace(sample, study.level, *curve, study.procs, lazy_opts,
-                 options.pool);
-    for (const auto& batch : history) apply_batch(batch);
-  };
-
-  StageCounters& delta = result.sweep.stage(SweepStage::kDelta);
-  std::uint64_t chain = dynamics_base_key(study);
   for (unsigned s = 0; s < study.steps; ++s) {
     const std::vector<ParticleMove2> moves = drift_moves<2>(
-        positions, study.level, study.seed, s, study.move_fraction);
+        frozen.particles(), study.level, study.seed, s, study.move_fraction);
+    // The lazy engine's array order diverges once it re-partitions, so
+    // its copy of the batch is re-keyed through the pre-move positions (a
+    // move is physically position-keyed).
+    std::vector<ParticleMove2> lazy_moves;
+    lazy_moves.reserve(moves.size());
     for (const ParticleMove2& mv : moves) {
-      chain = sweep_key(chain, mv.index);
-      chain = sweep_key(chain, pack(mv.to, study.level));
+      const std::int32_t idx = lazy.index_at(frozen.particles()[mv.index]);
+      lazy_moves.push_back({static_cast<std::uint32_t>(idx), mv.to});
     }
-    const std::uint64_t step_key = sweep_key(chain, s);
+    frozen.move_particles(moves, pool);
+    lazy.move_particles(lazy_moves, pool);
 
-    const DynamicsStepResult* cached = nullptr;
-    if (options.cache != nullptr) {
-      const auto it = options.cache->find(step_key);
-      if (it != options.cache->end()) cached = &it->second;
-      ++(cached != nullptr ? delta.hits : delta.misses);
-    }
-    if (cached != nullptr) {
-      result.steps.push_back(*cached);
-    } else {
-      const obs::Span span(stage_span_name(SweepStage::kDelta));
-      materialize();
-      apply_batch(moves);
-      DynamicsStepResult& r = result.steps.emplace_back();
-      r.moves = moves.size();
-      r.frozen_nfi = frozen->nfi(*net);
-      r.frozen_ffi = frozen->ffi(*net);
-      r.lazy_nfi = lazy->nfi(*net);
-      r.lazy_ffi = lazy->ffi(*net);
-      r.frozen_displaced = frozen->displaced_fraction();
-      r.lazy_displaced = lazy->displaced_fraction();
-      r.lazy_repartitions = lazy->repartitions();
-      // The re-sort-every-step baseline: a from-scratch AcdInstance of
-      // the post-move configuration.
-      const AcdInstance<2> inst(frozen->particles(), study.level, *curve);
-      const fmm::Partition part(study.particles, study.procs);
-      r.reorder_nfi =
-          inst.nfi(part, *net, study.radius, study.norm, options.pool);
-      r.reorder_ffi = inst.ffi(part, *net, options.pool);
-      if (options.cache != nullptr) options.cache->emplace(step_key, r);
-    }
-
-    for (const ParticleMove2& mv : moves) positions[mv.index] = mv.to;
-    history.push_back(moves);
+    DynamicsStepResult& r = result.steps.emplace_back();
+    r.moves = moves.size();
+    r.frozen_nfi = frozen.nfi(*net);
+    r.frozen_ffi = frozen.ffi(*net);
+    r.lazy_nfi = lazy.nfi(*net);
+    r.lazy_ffi = lazy.ffi(*net);
+    r.frozen_displaced = frozen.displaced_fraction();
+    r.lazy_displaced = lazy.displaced_fraction();
+    r.lazy_repartitions = lazy.repartitions();
+    // The re-sort-every-step baseline: a from-scratch AcdInstance of the
+    // post-move configuration.
+    const AcdInstance<2> inst(frozen.particles(), study.level, *curve);
+    const fmm::Partition part(study.particles, study.procs);
+    r.reorder_nfi = inst.nfi(part, *net, study.radius, study.norm, pool);
+    r.reorder_ffi = inst.ffi(part, *net, pool);
   }
-
-  if (options.cache != nullptr) publish_sweep_metrics(result.sweep);
   return result;
 }
 

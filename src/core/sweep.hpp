@@ -36,7 +36,6 @@
 #include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "core/acd.hpp"
@@ -47,8 +46,8 @@ namespace sfc::core {
 // ------------------------------------------------------------- stage plumbing
 
 /// The pipeline stages whose artifacts the engine plans, counts and
-/// shares between cells (kDelta is run_dynamics' per-step result; kFold
-/// counts once per enabled model per cell, however many cells share it).
+/// shares between cells (kFold counts once per enabled model per cell,
+/// however many cells share it).
 enum class SweepStage : unsigned {
   kSample = 0,       ///< (distribution, n, level, seed, trial) -> particles
   kCanonical,        ///< (sample) -> cell-sorted copy + occupancy grid
@@ -57,11 +56,10 @@ enum class SweepStage : unsigned {
   kNfiHistogram,     ///< (sample, order, p, radius, norm) -> rank-pair hist
   kFfiHistogram,     ///< (instance, p) -> FFI histograms
   kTopology,         ///< (kind, p [, processor order]) -> Topology
-  kDelta,            ///< (scenario, move-set chain) -> per-step dynamic totals
   kFold,             ///< (histogram, topology) -> CommTotals
 };
 
-inline constexpr unsigned kSweepStageCount = 9;
+inline constexpr unsigned kSweepStageCount = 8;
 
 std::string_view sweep_stage_name(SweepStage stage) noexcept;
 
@@ -307,25 +305,12 @@ struct DynamicsStepResult {
 struct DynamicsResult {
   DynamicsStudy study;
   std::vector<DynamicsStepResult> steps;
-  /// This run's kDelta hits and misses (zero when no cache was supplied).
-  SweepStats sweep;
 };
 
-struct DynamicsOptions {
-  util::ThreadPool* pool = nullptr;
-  /// Optional cross-run step cache. Each step's results are stored keyed
-  /// by the scenario parameters chained with the cumulative move-set
-  /// hash, so re-running the same trajectory (or extending it by more
-  /// steps) replays cached prefixes without touching the engines. Totals
-  /// are bit-identical either way.
-  std::unordered_map<std::uint64_t, DynamicsStepResult>* cache = nullptr;
-};
-
-/// Evolve one dynamics trajectory. Deterministic in the study parameters;
-/// the incremental engines are materialized lazily — a fully cached
-/// replay never builds them. Invalid parameters (e.g. a torus size that
-/// is not a power of 4) surface as std::invalid_argument.
+/// Evolve one dynamics trajectory. Deterministic in the study parameters
+/// with or without `pool`. Invalid parameters (e.g. a torus size that is
+/// not a power of 4) surface as std::invalid_argument.
 DynamicsResult run_dynamics(const DynamicsStudy& study,
-                            const DynamicsOptions& options = {});
+                            util::ThreadPool* pool = nullptr);
 
 }  // namespace sfc::core

@@ -1,18 +1,17 @@
-// enumerate.hpp — visitor-style enumeration of the FMM communication sets.
+// enumerate.hpp — per-message enumeration of the NFI communication set.
 //
-// nfi_totals/ffi_totals reduce the communication sets to (hops, count)
-// pairs on their hot paths; extensions that need the individual messages —
-// link-contention analysis, hop histograms, trace export — use these
-// visitors instead. The tests pin the visitors to the reducers: both must
-// enumerate exactly the same communications.
+// Every consumer that needs only how many messages travel between each
+// pair of ranks — the ACD totals, hop histograms, link loads, remote
+// fractions — reads the rank-pair histograms (fmm::nfi_histogram,
+// fmm::ffi_histograms) instead. nfi_visit is for the extensions that need
+// the individual messages: particle identities (weighted ACD) or message
+// order (the network simulator). The tests pin it to nfi_totals: both
+// must enumerate exactly the same communications.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "core/rank_pair.hpp"
-#include "fmm/cells.hpp"
-#include "fmm/ffi.hpp"
 #include "fmm/nfi.hpp"
 #include "fmm/occupancy.hpp"
 
@@ -58,74 +57,6 @@ void nfi_visit(const std::vector<Point<D>>& particles,
       ++off[d];
     }
   }
-}
-
-enum class FfiComponent {
-  kInterpolation,  // child owner -> parent owner
-  kAnterpolation,  // parent owner -> child owner
-  kInteraction,    // interaction-list source owner -> cell owner
-};
-
-/// Invoke fn(from_particle, to_particle, component) for every far-field
-/// communication, in the same order ffi_totals counts them.
-template <int D, typename Fn>
-void ffi_visit(const CellTree<D>& tree, Fn&& fn) {
-  for (unsigned l = 1; l <= tree.finest_level(); ++l) {
-    const auto& cells = tree.cells(l);
-    for (const auto& cell : cells) {
-      const auto idx = tree.find(l - 1, parent_key<D>(cell.key));
-      const auto& parent = tree.cells(l - 1)[static_cast<std::size_t>(idx)];
-      fn(cell.min_particle, parent.min_particle,
-         FfiComponent::kInterpolation);
-      fn(parent.min_particle, cell.min_particle,
-         FfiComponent::kAnterpolation);
-    }
-  }
-  std::vector<Point<D>> il;
-  for (unsigned l = 2; l <= tree.finest_level(); ++l) {
-    const auto& cells = tree.cells(l);
-    for (const auto& cell : cells) {
-      const Point<D> c = morton_point<D>(cell.key);
-      interaction_list(c, l, il);
-      for (const Point<D>& d : il) {
-        const auto idx = tree.find(l, cell_key(d));
-        if (idx < 0) continue;
-        const auto& dc = tree.cells(l)[static_cast<std::size_t>(idx)];
-        fn(dc.min_particle, cell.min_particle, FfiComponent::kInteraction);
-      }
-    }
-  }
-}
-
-/// Per-rank-pair traffic histogram of the NFI communication set, keyed
-/// (sender rank, receiver rank). The observability companion to
-/// nfi_totals: contention models route each distinct pair once with its
-/// multiplicity instead of once per event.
-template <int D>
-core::RankPairAccumulator nfi_pair_counts(
-    const std::vector<Point<D>>& particles, const OccupancyGrid<D>& grid,
-    const Partition& part, unsigned radius,
-    NeighborNorm norm = NeighborNorm::kChebyshev) {
-  core::RankPairAccumulator acc(part.processors());
-  const std::vector<topo::Rank> owners = part.owner_table();
-  nfi_visit<D>(particles, grid, radius, norm,
-               [&](std::size_t i, std::size_t j) {
-                 // Particle i receives from particle j.
-                 acc.add(owners[j], owners[i]);
-               });
-  return acc;
-}
-
-/// Per-rank-pair traffic histogram of the FFI communication set (all
-/// three families), keyed (sender rank, receiver rank).
-template <int D>
-core::RankPairAccumulator ffi_pair_counts(const CellTree<D>& tree,
-                                          const Partition& part) {
-  core::RankPairAccumulator acc(part.processors());
-  const std::vector<topo::Rank> owners = part.owner_table();
-  ffi_visit<D>(tree, [&](std::uint32_t from, std::uint32_t to,
-                         FfiComponent) { acc.add(owners[from], owners[to]); });
-  return acc;
 }
 
 }  // namespace sfc::fmm

@@ -33,7 +33,7 @@ core::CommTotals logtree_accumulation_totals(
   // downward (anterpolation) message each — then hand the histogram to
   // the topology's fold kernel. Same multiset of (pair, distance) events
   // as the old per-edge lookup, so the totals are bit-identical.
-  core::RankPairAccumulator acc(part.processors(), net);
+  core::RankPairAccumulator acc(part.processors());
   for (const auto& procs : lists) {
     for (std::size_t i = 1; i < procs.size(); ++i) {
       acc.add(procs[i], procs[(i - 1) / kArity], 2);

@@ -83,18 +83,4 @@ template std::unique_ptr<Topology> make_topology<2>(TopologyKind, Rank,
 template std::unique_ptr<Topology> make_topology<3>(TopologyKind, Rank,
                                                     const Curve<3>*);
 
-FoldStrategy planned_fold_strategy(TopologyKind kind, Rank procs) noexcept {
-  switch (kind) {
-    case TopologyKind::kBus:
-    case TopologyKind::kRing:
-    case TopologyKind::kMesh:
-    case TopologyKind::kTorus:
-    case TopologyKind::kQuadtree:
-    case TopologyKind::kHypercube:
-      return FoldStrategy::kFactorized;
-  }
-  return distance_table_fits(procs) ? FoldStrategy::kDense
-                                    : FoldStrategy::kStreamed;
-}
-
 }  // namespace sfc::topo

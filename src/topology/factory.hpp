@@ -27,11 +27,4 @@ extern template std::unique_ptr<Topology> make_topology<2>(TopologyKind, Rank,
 extern template std::unique_ptr<Topology> make_topology<3>(TopologyKind, Rank,
                                                            const Curve<3>*);
 
-/// The fold strategy make_topology's product will report, computable
-/// without constructing the topology — the sweep engine folds it into
-/// stage cache keys and memory estimates before the build stage runs.
-/// Every paper topology has a factorized kernel; the fallback mirrors
-/// the base Topology policy (dense while the table fits, else streamed).
-FoldStrategy planned_fold_strategy(TopologyKind kind, Rank procs) noexcept;
-
 }  // namespace sfc::topo

@@ -1,11 +1,16 @@
 // Link-contention extension tests: dimension-order routing, per-link
-// loads, hop consistency with the ACD reducers, and the Hilbert-vs-row
-// congestion contrast.
+// loads, hop consistency with the ACD reducers, per-link agreement with
+// routing every event on its own, and the Hilbert-vs-row congestion
+// contrast.
 #include "core/contention.hpp"
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "distribution/distribution.hpp"
+#include "fmm/enumerate.hpp"
+#include "oracles/oracles.hpp"
 
 namespace sfc::core {
 namespace {
@@ -129,6 +134,86 @@ TEST_F(ContentionPipeline, HilbertCoolerThanRowMajorOnWorstLink) {
   const auto ch = nfi_congestion(hi, part, torus_h, true, 1);
   const auto cr = nfi_congestion(ri, part, torus_r, true, 1);
   EXPECT_LT(ch.max_link_load, cr.max_link_load);
+}
+
+/// Every directed link load and every stat of `got` against `want`.
+void expect_same_loads(const LinkLoadMap& got, const LinkLoadMap& want,
+                       unsigned level, const std::string& what) {
+  const std::uint32_t side = 1u << level;
+  std::uint64_t mismatches = 0;
+  for (std::uint32_t y = 0; y < side; ++y) {
+    for (std::uint32_t x = 0; x < side; ++x) {
+      for (unsigned dir = 0; dir < 4; ++dir) {
+        if (got.link_load(x, y, dir) != want.link_load(x, y, dir)) {
+          ++mismatches;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << what;
+  const CongestionStats g = got.stats();
+  const CongestionStats w = want.stats();
+  EXPECT_EQ(g.messages, w.messages) << what;
+  EXPECT_EQ(g.hops, w.hops) << what;
+  EXPECT_EQ(g.max_link_load, w.max_link_load) << what;
+  EXPECT_EQ(g.links_used, w.links_used) << what;
+}
+
+/// The pair-aggregated link loads against routing each event one at a
+/// time: NFI events from nfi_visit (every ordered particle pair), FFI
+/// events from the definitional oracle (all three families, each in its
+/// own direction). Dimension-order routing sends a->b and b->a over
+/// different links, so this pins message directions, not just hop sums.
+void expect_per_event_loads(const AcdInstance<2>& instance, unsigned level,
+                            const topo::GridTopologyBase<2>& net, bool wrap,
+                            const std::string& what) {
+  const fmm::Partition part(instance.particles().size(), net.size());
+  for (const fmm::NeighborNorm norm :
+       {fmm::NeighborNorm::kChebyshev, fmm::NeighborNorm::kManhattan}) {
+    for (unsigned radius = 1; radius <= 3; ++radius) {
+      LinkLoadMap want(net.level(), wrap);
+      fmm::nfi_visit<2>(instance.particles(), instance.grid(), radius, norm,
+                        [&](std::size_t i, std::size_t j) {
+                          want.route(net.coordinate(part.proc_of(i)),
+                                     net.coordinate(part.proc_of(j)));
+                        });
+      expect_same_loads(
+          nfi_link_loads(instance, part, net, wrap, radius, norm), want,
+          net.level(),
+          what + " nfi radius " + std::to_string(radius) +
+              (norm == fmm::NeighborNorm::kChebyshev ? " chebyshev"
+                                                     : " manhattan"));
+    }
+  }
+  LinkLoadMap want(net.level(), wrap);
+  for (const auto& [src, dst] :
+       oracle::ffi_event_pairs<2>(instance.particles(), level, part)) {
+    want.route(net.coordinate(src), net.coordinate(dst));
+  }
+  expect_same_loads(ffi_link_loads(instance, part, net, wrap), want,
+                    net.level(), what + " ffi");
+}
+
+TEST_F(ContentionPipeline, LinkLoadsMatchPerEventRoutingOnDenseGrid) {
+  const auto curve = make_curve<2>(CurveKind::kHilbert);
+  const AcdInstance<2> instance(particles_, 7, *curve);
+  ASSERT_NE(instance.grid().dense_cells(), nullptr);
+  expect_per_event_loads(instance, 7, topo::TorusTopology<2>(4, *curve), true,
+                         "dense torus");
+  expect_per_event_loads(instance, 7, topo::MeshTopology<2>(4, *curve), false,
+                         "dense mesh");
+}
+
+TEST_F(ContentionPipeline, LinkLoadsMatchPerEventRoutingOnSparseGrid) {
+  // The same points on a level-14 grid: 2^28 cells is past the dense
+  // occupancy bound, so the NFI kernel takes its generic window path.
+  const auto curve = make_curve<2>(CurveKind::kMorton);
+  const AcdInstance<2> instance(particles_, 14, *curve);
+  ASSERT_EQ(instance.grid().dense_cells(), nullptr);
+  expect_per_event_loads(instance, 14, topo::TorusTopology<2>(4, *curve),
+                         true, "sparse torus");
+  expect_per_event_loads(instance, 14, topo::MeshTopology<2>(4, *curve), false,
+                         "sparse mesh");
 }
 
 TEST(Contention, TooLargeGridThrows) {

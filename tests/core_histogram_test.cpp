@@ -24,6 +24,20 @@ TEST(HopHistogram, BasicBookkeeping) {
   EXPECT_NEAR(h.local_fraction(), 2.0 / 7.0, 1e-12);
 }
 
+TEST(HopHistogram, WeightedAddEqualsRepeatedAdds) {
+  HopHistogram weighted(4);
+  HopHistogram repeated(4);
+  weighted.add(3, 5);
+  weighted.add(6, 2);
+  weighted.add(1, 0);  // a zero count records nothing
+  for (int i = 0; i < 5; ++i) repeated.add(3);
+  for (int i = 0; i < 2; ++i) repeated.add(6);
+  EXPECT_EQ(weighted.bins(), repeated.bins());
+  EXPECT_EQ(weighted.total(), repeated.total());
+  EXPECT_EQ(weighted.hops(), repeated.hops());
+  EXPECT_EQ(weighted.max_seen(), 6u);
+}
+
 TEST(HopHistogram, GrowsBeyondDeclaredMax) {
   HopHistogram h(2);
   h.add(10);

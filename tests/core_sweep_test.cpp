@@ -9,7 +9,6 @@
 
 #include <cstring>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include "util/thread_pool.hpp"
@@ -325,83 +324,6 @@ TEST(SweepEngine, ResultsAndOrderingIdenticalAcrossThreadCounts) {
       EXPECT_EQ(threaded.progress[i].topology, serial.progress[i].topology);
     }
   }
-}
-
-// ------------------------------------------------------- dynamics caching
-
-/// Small dynamics trajectory for the kDelta-stage step-cache tests: torus
-/// sizes must be powers of 4, and the step count stays low because every
-/// step runs three policies over the full configuration.
-DynamicsStudy toy_dynamics_study() {
-  DynamicsStudy s;
-  s.name = "toy_dynamics";
-  s.particles = 400;
-  s.level = 5;  // 32 x 32
-  s.procs = 16;
-  s.steps = 8;
-  s.seed = 11;
-  s.move_fraction = 0.2;
-  return s;
-}
-
-void expect_same_steps(const DynamicsResult& a, const DynamicsResult& b,
-                       std::size_t prefix) {
-  ASSERT_GE(a.steps.size(), prefix);
-  ASSERT_GE(b.steps.size(), prefix);
-  for (std::size_t t = 0; t < prefix; ++t) {
-    // Bit-level equality: a cached replay must reproduce the live run's
-    // integers exactly, not approximately.
-    EXPECT_EQ(std::memcmp(&a.steps[t], &b.steps[t],
-                          sizeof(DynamicsStepResult)),
-              0)
-        << "step " << t;
-  }
-}
-
-TEST(DynamicsEngine, CachedReplayIsBitIdenticalAndAllHits) {
-  const DynamicsStudy s = toy_dynamics_study();
-  const DynamicsResult live = run_dynamics(s, DynamicsOptions{});
-  EXPECT_EQ(live.sweep.total_hits(), 0u);  // no cache supplied
-  EXPECT_EQ(live.sweep.total_misses(), 0u);
-
-  std::unordered_map<std::uint64_t, DynamicsStepResult> cache;
-  DynamicsOptions cached;
-  cached.cache = &cache;
-  const DynamicsResult first = run_dynamics(s, cached);
-  EXPECT_EQ(first.sweep.stage(SweepStage::kDelta).misses, 8u);
-  EXPECT_EQ(first.sweep.stage(SweepStage::kDelta).hits, 0u);
-  expect_same_steps(live, first, 8);
-
-  // Identical study, same cache: every step replays from the cache
-  // (stats count this run only).
-  const DynamicsResult replay = run_dynamics(s, cached);
-  EXPECT_EQ(replay.sweep.stage(SweepStage::kDelta).misses, 0u);
-  EXPECT_EQ(replay.sweep.stage(SweepStage::kDelta).hits, 8u);
-  expect_same_steps(live, replay, 8);
-}
-
-TEST(DynamicsEngine, ExtendedTrajectoryReplaysCachedPrefix) {
-  const DynamicsStudy s = toy_dynamics_study();
-  std::unordered_map<std::uint64_t, DynamicsStepResult> cache;
-  DynamicsOptions cached;
-  cached.cache = &cache;
-  const DynamicsResult short_run = run_dynamics(s, cached);
-
-  // Extending the same trajectory hits the 8 cached steps and computes
-  // only the 8 new ones; the shared prefix is bit-identical.
-  DynamicsStudy longer = s;
-  longer.steps = 16;
-  const DynamicsResult long_run = run_dynamics(longer, cached);
-  EXPECT_EQ(long_run.sweep.stage(SweepStage::kDelta).hits, 8u);
-  EXPECT_EQ(long_run.sweep.stage(SweepStage::kDelta).misses, 8u);
-  expect_same_steps(short_run, long_run, 8);
-
-  // A different move fraction forks the move-set chain: nothing reuses.
-  DynamicsStudy forked = s;
-  forked.move_fraction = 0.4;
-  const DynamicsResult fork_run = run_dynamics(forked, cached);
-  EXPECT_EQ(fork_run.sweep.stage(SweepStage::kDelta).hits, 0u);
-  EXPECT_EQ(fork_run.sweep.stage(SweepStage::kDelta).misses, 8u);
 }
 
 TEST(SweepEngine, InvalidTorusSizeThrows) {

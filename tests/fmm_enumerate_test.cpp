@@ -1,5 +1,5 @@
-// Visitor/reducer consistency: nfi_visit and ffi_visit must enumerate
-// exactly the communications nfi_totals and ffi_totals count.
+// Visitor/reducer consistency: nfi_visit must enumerate exactly the
+// communications nfi_totals counts.
 #include "fmm/enumerate.hpp"
 
 #include <gtest/gtest.h>
@@ -65,52 +65,6 @@ TEST(NfiVisit, PairsAreSymmetric) {
                                    std::make_pair(j, i)))
         << i << " <- " << j;
   }
-}
-
-TEST(FfiVisit, MatchesFfiTotals) {
-  const auto particles = pseudo_particles(1200, 6);
-  const CellTree<2> tree(particles, 6);
-  const Partition part(particles.size(), 32);
-  const topo::RingTopology ring(32);
-
-  FfiTotals visited;
-  ffi_visit<2>(tree, [&](std::uint32_t from, std::uint32_t to,
-                         FfiComponent component) {
-    const auto d = ring.distance(part.proc_of(from), part.proc_of(to));
-    switch (component) {
-      case FfiComponent::kInterpolation:
-        visited.interpolation.hops += d;
-        ++visited.interpolation.count;
-        break;
-      case FfiComponent::kAnterpolation:
-        visited.anterpolation.hops += d;
-        ++visited.anterpolation.count;
-        break;
-      case FfiComponent::kInteraction:
-        visited.interaction.hops += d;
-        ++visited.interaction.count;
-        break;
-    }
-  });
-  const auto reduced = ffi_totals<2>(tree, part, ring);
-  EXPECT_EQ(visited.interpolation, reduced.interpolation);
-  EXPECT_EQ(visited.anterpolation, reduced.anterpolation);
-  EXPECT_EQ(visited.interaction, reduced.interaction);
-}
-
-TEST(FfiVisit, AnterpolationMirrorsInterpolation) {
-  const auto particles = pseudo_particles(300, 5);
-  const CellTree<2> tree(particles, 5);
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> interp, anterp;
-  ffi_visit<2>(tree, [&](std::uint32_t from, std::uint32_t to,
-                         FfiComponent component) {
-    if (component == FfiComponent::kInterpolation) {
-      interp.emplace_back(from, to);
-    } else if (component == FfiComponent::kAnterpolation) {
-      anterp.emplace_back(to, from);  // reversed must equal interp
-    }
-  });
-  EXPECT_EQ(interp, anterp);
 }
 
 TEST(NfiVisit, ThreeDMatchesTotals) {

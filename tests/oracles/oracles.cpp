@@ -45,52 +45,49 @@ Point<D> parent_of(const Point<D>& cell) {
   return p;
 }
 
-}  // namespace
-
-template <int D>
-core::CommTotals nfi_pairwise(const std::vector<Point<D>>& sorted,
-                              const fmm::Partition& part,
-                              const topo::Topology& net, unsigned radius,
-                              fmm::NeighborNorm norm) {
-  core::CommTotals totals;
+/// Every ordered near-field pair (i, j), i != j, with
+/// ||x_i - x_j|| <= radius under `norm`: fn(owner(i), owner(j)) once per
+/// event, straight from Definition 1's O(n²) double loop.
+template <int D, typename Fn>
+void nfi_events(const std::vector<Point<D>>& sorted,
+                const fmm::Partition& part, unsigned radius,
+                fmm::NeighborNorm norm, Fn&& fn) {
   const std::size_t n = sorted.size();
   for (std::size_t i = 0; i < n; ++i) {
     const topo::Rank src = part.proc_of(i);
     for (std::size_t j = 0; j < n; ++j) {
       if (j == i) continue;
       if (!within_ball(sorted[i], sorted[j], radius, norm)) continue;
-      totals.hops += net.distance(src, part.proc_of(j));
-      ++totals.count;
+      fn(src, part.proc_of(j));
     }
   }
-  return totals;
 }
 
-template <int D>
-fmm::FfiTotals ffi_definitional(const std::vector<Point<D>>& sorted,
-                                unsigned level, const fmm::Partition& part,
-                                const topo::Topology& net) {
-  fmm::FfiTotals totals;
-  if (sorted.empty()) return totals;
+enum class FfiFamily { kInterpolation, kAnterpolation, kInteraction };
+
+/// Every far-field communication of the definitional FFI model:
+/// fn(family, src rank, dst rank) once per event.
+template <int D, typename Fn>
+void ffi_events(const std::vector<Point<D>>& sorted, unsigned level,
+                const fmm::Partition& part, Fn&& fn) {
+  if (sorted.empty()) return;
 
   std::vector<std::map<std::uint64_t, std::uint32_t>> levels(level + 1);
   for (unsigned l = 0; l <= level; ++l) {
     levels[l] = occupied_cells<D>(sorted, level, l);
   }
 
-  // Interpolation: every occupied non-root cell sends to its parent
-  // (anterpolation is the mirror with identical symmetric distances).
+  // Interpolation: every occupied non-root cell sends to its parent;
+  // anterpolation is the mirror.
   for (unsigned l = 1; l <= level; ++l) {
     for (const auto& [key, minp] : levels[l]) {
       const Point<D> cell = unpack<D>(key, l);
       const std::uint64_t pk = pack(parent_of(cell), l - 1);
       const std::uint32_t parent_minp = levels[l - 1].at(pk);
-      totals.interpolation.hops +=
-          net.distance(part.proc_of(minp), part.proc_of(parent_minp));
-      ++totals.interpolation.count;
-      totals.anterpolation.hops +=
-          net.distance(part.proc_of(parent_minp), part.proc_of(minp));
-      ++totals.anterpolation.count;
+      fn(FfiFamily::kInterpolation, part.proc_of(minp),
+         part.proc_of(parent_minp));
+      fn(FfiFamily::kAnterpolation, part.proc_of(parent_minp),
+         part.proc_of(minp));
     }
   }
 
@@ -129,9 +126,7 @@ fmm::FfiTotals ffi_definitional(const std::vector<Point<D>>& sorted,
             if (chebyshev(child, cell) <= 1) continue;  // adjacent or self
             const auto it = levels[l].find(pack(child, l));
             if (it == levels[l].end()) continue;  // unoccupied: silent
-            totals.interaction.hops +=
-                net.distance(part.proc_of(it->second), owner);
-            ++totals.interaction.count;
+            fn(FfiFamily::kInteraction, part.proc_of(it->second), owner);
           }
         }
         int d = 0;
@@ -141,7 +136,79 @@ fmm::FfiTotals ffi_definitional(const std::vector<Point<D>>& sorted,
       }
     }
   }
+}
+
+}  // namespace
+
+template <int D>
+core::CommTotals nfi_pairwise(const std::vector<Point<D>>& sorted,
+                              const fmm::Partition& part,
+                              const topo::Topology& net, unsigned radius,
+                              fmm::NeighborNorm norm) {
+  core::CommTotals totals;
+  nfi_events<D>(sorted, part, radius, norm,
+                [&](topo::Rank src, topo::Rank dst) {
+                  totals.hops += net.distance(src, dst);
+                  ++totals.count;
+                });
   return totals;
+}
+
+template <int D>
+fmm::FfiTotals ffi_definitional(const std::vector<Point<D>>& sorted,
+                                unsigned level, const fmm::Partition& part,
+                                const topo::Topology& net) {
+  fmm::FfiTotals totals;
+  ffi_events<D>(sorted, level, part,
+                [&](FfiFamily family, topo::Rank src, topo::Rank dst) {
+                  core::CommTotals& t =
+                      family == FfiFamily::kInterpolation ? totals.interpolation
+                      : family == FfiFamily::kAnterpolation
+                          ? totals.anterpolation
+                          : totals.interaction;
+                  t.hops += net.distance(src, dst);
+                  ++t.count;
+                });
+  return totals;
+}
+
+template <int D>
+HopDistribution nfi_hop_distribution(const std::vector<Point<D>>& sorted,
+                                     const fmm::Partition& part,
+                                     const topo::Topology& net,
+                                     unsigned radius,
+                                     fmm::NeighborNorm norm) {
+  HopDistribution dist;
+  nfi_events<D>(sorted, part, radius, norm,
+                [&](topo::Rank src, topo::Rank dst) {
+                  ++dist[net.distance(src, dst)];
+                });
+  return dist;
+}
+
+template <int D>
+HopDistribution ffi_hop_distribution(const std::vector<Point<D>>& sorted,
+                                     unsigned level,
+                                     const fmm::Partition& part,
+                                     const topo::Topology& net) {
+  HopDistribution dist;
+  ffi_events<D>(sorted, level, part,
+                [&](FfiFamily, topo::Rank src, topo::Rank dst) {
+                  ++dist[net.distance(src, dst)];
+                });
+  return dist;
+}
+
+template <int D>
+std::vector<std::pair<topo::Rank, topo::Rank>> ffi_event_pairs(
+    const std::vector<Point<D>>& sorted, unsigned level,
+    const fmm::Partition& part) {
+  std::vector<std::pair<topo::Rank, topo::Rank>> events;
+  ffi_events<D>(sorted, level, part,
+                [&](FfiFamily, topo::Rank src, topo::Rank dst) {
+                  events.emplace_back(src, dst);
+                });
+  return events;
 }
 
 topo::GraphTopology oracle_graph(const pbt::TopoCase& spec) {
@@ -201,6 +268,16 @@ template fmm::FfiTotals ffi_definitional<2>(const std::vector<Point<2>>&,
 template fmm::FfiTotals ffi_definitional<3>(const std::vector<Point<3>>&,
                                             unsigned, const fmm::Partition&,
                                             const topo::Topology&);
+template HopDistribution nfi_hop_distribution<2>(const std::vector<Point<2>>&,
+                                                const fmm::Partition&,
+                                                const topo::Topology&,
+                                                unsigned, fmm::NeighborNorm);
+template HopDistribution ffi_hop_distribution<2>(const std::vector<Point<2>>&,
+                                                unsigned,
+                                                const fmm::Partition&,
+                                                const topo::Topology&);
+template std::vector<std::pair<topo::Rank, topo::Rank>> ffi_event_pairs<2>(
+    const std::vector<Point<2>>&, unsigned, const fmm::Partition&);
 template FrozenTotals frozen_totals<2>(const std::vector<Point<2>>&, unsigned,
                                        const fmm::Partition&,
                                        const topo::Topology&, unsigned,

@@ -11,7 +11,10 @@
 // the property suites run them on small instances only.
 #pragma once
 
+#include <cstdint>
+#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/totals.hpp"
@@ -45,6 +48,33 @@ template <int D>
 fmm::FfiTotals ffi_definitional(const std::vector<Point<D>>& sorted,
                                 unsigned level, const fmm::Partition& part,
                                 const topo::Topology& net);
+
+/// Hop distance -> number of communications at that distance.
+using HopDistribution = std::map<std::uint64_t, std::uint64_t>;
+
+/// Per-event hop distribution of nfi_pairwise's communication set: one
+/// net.distance() call per ordered pair.
+template <int D>
+HopDistribution nfi_hop_distribution(const std::vector<Point<D>>& sorted,
+                                     const fmm::Partition& part,
+                                     const topo::Topology& net,
+                                     unsigned radius, fmm::NeighborNorm norm);
+
+/// Per-event hop distribution of ffi_definitional's communication set,
+/// all three families (anterpolation events priced in their own
+/// parent -> child direction).
+template <int D>
+HopDistribution ffi_hop_distribution(const std::vector<Point<D>>& sorted,
+                                     unsigned level,
+                                     const fmm::Partition& part,
+                                     const topo::Topology& net);
+
+/// (src rank, dst rank) of every event of ffi_definitional's
+/// communication set, all three families, one entry per event.
+template <int D>
+std::vector<std::pair<topo::Rank, topo::Rank>> ffi_event_pairs(
+    const std::vector<Point<D>>& sorted, unsigned level,
+    const fmm::Partition& part);
 
 /// Explicit-graph twin of a closed-form topology case: rank r occupies
 /// the same physical position as in `make_topology`, so every BFS hop
@@ -84,6 +114,15 @@ extern template fmm::FfiTotals ffi_definitional<2>(
 extern template fmm::FfiTotals ffi_definitional<3>(
     const std::vector<Point<3>>&, unsigned, const fmm::Partition&,
     const topo::Topology&);
+extern template HopDistribution nfi_hop_distribution<2>(
+    const std::vector<Point<2>>&, const fmm::Partition&, const topo::Topology&,
+    unsigned, fmm::NeighborNorm);
+extern template HopDistribution ffi_hop_distribution<2>(
+    const std::vector<Point<2>>&, unsigned, const fmm::Partition&,
+    const topo::Topology&);
+extern template std::vector<std::pair<topo::Rank, topo::Rank>>
+ffi_event_pairs<2>(const std::vector<Point<2>>&, unsigned,
+                   const fmm::Partition&);
 extern template FrozenTotals frozen_totals<2>(const std::vector<Point<2>>&,
                                               unsigned, const fmm::Partition&,
                                               const topo::Topology&, unsigned,

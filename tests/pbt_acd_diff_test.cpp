@@ -1,7 +1,8 @@
 // Differential and metamorphic properties of the ACD engines. The
 // optimized NFI/FFI paths (rank-pair aggregation, flat hop tables,
-// owner-array enumeration, threaded ranges, sparse accumulators) are all
-// pinned to the brute-force oracles in tests/oracles/, and the whole
+// owner-array enumeration, threaded ranges, sparse accumulators) and the
+// hop histograms folded from them are all pinned to the brute-force
+// oracles in tests/oracles/, and the whole
 // metric must be invariant under rank relabelings that are automorphisms
 // of the interconnect — rotations/reflections of rings, XOR translations
 // of hypercubes, shifts of tori — which exercises every layer at once
@@ -10,6 +11,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <ostream>
@@ -17,6 +19,8 @@
 #include <tuple>
 #include <vector>
 
+#include "core/acd.hpp"
+#include "core/histogram.hpp"
 #include "core/rank_pair.hpp"
 #include "core/totals.hpp"
 #include "fmm/ffi.hpp"
@@ -318,6 +322,82 @@ TEST(AcdDiff, FfiThreadedMatchesSerial) {
           return "threaded FFI differs from serial";
         }
         return std::nullopt;
+      });
+}
+
+// ------------------------------------------------- hop distributions
+
+std::string show(const oracle::HopDistribution& bins) {
+  std::string out = "{";
+  for (const auto& [d, n] : bins) {
+    out += (out.size() > 1 ? ", " : "") + std::to_string(d) + ":" +
+           std::to_string(n);
+  }
+  return out + "}";
+}
+
+/// Every bin of a folded HopHistogram against the oracle's per-event
+/// distribution, plus the histogram's own bookkeeping (total, hops,
+/// max_seen) against its bins.
+std::optional<std::string> expect_same_bins(
+    const core::HopHistogram& got, const oracle::HopDistribution& want,
+    const std::string& what) {
+  oracle::HopDistribution bins;
+  std::uint64_t total = 0;
+  std::uint64_t hops = 0;
+  for (std::uint64_t d = 0; d < got.bins().size(); ++d) {
+    if (got.bins()[d] == 0) continue;
+    bins[d] = got.bins()[d];
+    total += got.bins()[d];
+    hops += d * got.bins()[d];
+  }
+  if (bins != want) {
+    return what + ": bins " + show(bins) + " != oracle " + show(want);
+  }
+  const std::uint64_t max_seen = bins.empty() ? 0 : bins.rbegin()->first;
+  if (got.total() != total || got.hops() != hops ||
+      got.max_seen() != max_seen) {
+    return what + ": total/hops/max_seen disagree with the bins";
+  }
+  return std::nullopt;
+}
+
+TEST(AcdDiff, HopHistogramBinsMatchPerEventOracle) {
+  // core::nfi_histogram / ffi_histogram fold the rank-pair histograms
+  // (one distance() per distinct pair, FFI interpolation pairs counted
+  // twice for their anterpolation mirror); the oracle prices every event
+  // of the definitional sets. Each case runs both norms at radius 1-3.
+  SFCACD_PBT_CHECK_CFG(
+      acd_case(64), CheckConfig{}.scaled(0.5),
+      [](const AcdCase& c) -> std::optional<std::string> {
+        const std::vector<Point2> sorted =
+            sort_by_curve(c.pts, c.curve, c.level);
+        const auto curve = make_curve<2>(c.curve);
+        const core::AcdInstance<2> instance(c.pts, c.level, *curve);
+        if (instance.particles() != sorted) {
+          return "test bug: AcdInstance order differs from the curve sort";
+        }
+        const fmm::Partition part(sorted.size(), c.topo.procs);
+        const auto net = c.topo.make();
+        for (const fmm::NeighborNorm norm :
+             {fmm::NeighborNorm::kChebyshev, fmm::NeighborNorm::kManhattan}) {
+          for (unsigned radius = 1; radius <= 3; ++radius) {
+            if (auto err = expect_same_bins(
+                    core::nfi_histogram(instance, part, *net, radius, norm),
+                    oracle::nfi_hop_distribution<2>(sorted, part, *net,
+                                                    radius, norm),
+                    std::string("nfi_histogram ") +
+                        (norm == fmm::NeighborNorm::kChebyshev ? "chebyshev"
+                                                               : "manhattan") +
+                        " radius " + std::to_string(radius))) {
+              return err;
+            }
+          }
+        }
+        return expect_same_bins(
+            core::ffi_histogram(instance, part, *net),
+            oracle::ffi_hop_distribution<2>(sorted, c.level, part, *net),
+            "ffi_histogram");
       });
 }
 
