@@ -89,10 +89,16 @@ class Harness {
       }
     }
     const long long threads = args.i64("threads");
-    if (threads != 1) {
-      pool_ = std::make_unique<util::ThreadPool>(
-          threads <= 0 ? 0u : static_cast<unsigned>(threads));
+    if (threads < 0) {
+      throw std::invalid_argument("--threads must be 0 (all CPUs) or more");
     }
+    // Capped at the CPUs this process may use: oversubscribing the
+    // plan graph's workers only adds scheduling and memory.
+    const unsigned cpus = util::available_cpus();
+    const unsigned workers = threads == 0 || threads > cpus
+                                 ? cpus
+                                 : static_cast<unsigned>(threads);
+    if (workers > 1) pool_ = std::make_unique<util::ThreadPool>(workers);
     const std::string store_dir = args.str("store");
     if (!store_dir.empty()) {
       core::ArtifactStoreOptions store_options;
@@ -126,7 +132,8 @@ class Harness {
                              : util::TableStyle::kAscii;
   }
 
-  /// Worker pool from --threads (1 = none/serial, 0 = all cores).
+  /// Worker pool from --threads, capped at util::available_cpus()
+  /// (null = serial: --threads 1, or a single available CPU).
   util::ThreadPool* pool() noexcept { return pool_.get(); }
 
   /// Persistent artifact store from --store (nullptr = memory only).
@@ -306,7 +313,9 @@ inline int run_harness(int argc, const char* const* argv,
                 "delete every stored artifact when opening --store");
   args.add_option("seed", "master RNG seed", "1");
   args.add_option("trials", "independent trials to average", "1");
-  args.add_option("threads", "worker threads (1 = serial, 0 = all cores)",
+  args.add_option("threads",
+                  "worker threads, capped at the CPUs the process may use "
+                  "(1 = serial, 0 = all of them)",
                   "1");
   args.add_option("out", "write the JSON document to this file", "");
   if (spec.add_options) spec.add_options(args);

@@ -27,6 +27,7 @@ import json
 import math
 import os
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -347,7 +348,8 @@ def check_gates(result, previous, smoke):
     - The million-rank fig7 run must peak below 1 GiB RSS: the factorized
       fold contract promises no O(p²) state at p = 2^20.
     - The cell-graph scheduler must cut fig6 wall-clock >= 2x at 8
-      worker threads vs 1 — enforced only on hosts with >= 8 cores.
+      worker threads vs 1 — enforced only on hosts with >= 8 cores —
+      and never fall below 0.9x of serial on any host.
     - A warm artifact-store rerun of table1_nfi must beat the cold run
       >= 4x (2x smoke) with nonzero store hits.
     - Committed-baseline comparison (ordering ns/point within 25%/50%,
@@ -401,13 +403,20 @@ def check_gates(result, previous, smoke):
         failures.append(f"dynamics: incremental timestep {dyn_speedup:.2f}x "
                         f"vs full recompute < {dyn_floor}x floor")
 
-    # Cell-graph scheduler scaling: 8 workers must halve fig6 wall-clock
-    # vs 1 worker — but only on hosts that actually have >= 8 cores
+    # Cell-graph scheduler scaling: 8 requested workers must never lose
+    # to 1 worker (>= 0.9x, at any CPU count: the harness caps the pool
+    # at the available CPUs, and the plan graph is the only fan-out), and
+    # must halve fig6 wall-clock on hosts that actually have >= 8 cores
     # (same conditionality as the SIMD gates: a 1-core runner cannot
     # exhibit parallel speedup, and the bit-identity assertion inside
     # the measurement still ran).
     sched = result.get("scheduler_scaling")
     if sched and sched.get("speedup") is not None:
+        if sched["speedup"] < 0.9:
+            failures.append(
+                f"scheduler_scaling: 8-thread speedup "
+                f"{sched['speedup']:.2f}x < 0.9x floor on "
+                f"{sched['cpus']}-cpu host ({sched['threads']} workers)")
         if (sched.get("cpus") or 0) >= 8 and sched["speedup"] < 2.0:
             failures.append(
                 f"scheduler_scaling: 8-thread speedup "
@@ -543,34 +552,49 @@ def sweep_comparison(build_dir, name, extra, threads):
 
 
 def scheduler_scaling(build_dir, name, extra):
-    """Time the cell-graph scheduler at 1 worker vs 8 on the same grid.
+    """Time the cell-graph scheduler at 1 worker vs 8 requested on one grid.
 
     Both runs use the reuse engine, so the ratio isolates the scheduler's
     concurrency (independent cells flowing through the task graph) from
     artifact sharing. The two thread counts must produce bit-identical
     ACD cells — the grid-order drain makes thread count invisible to the
-    arithmetic, and any divergence aborts. The host's cpu_count is
-    recorded alongside: the >= 2x gate only binds on machines with at
-    least 8 cores (a 1-core CI runner cannot exhibit parallel speedup,
-    same pattern as the SIMD-conditional gates).
+    arithmetic, and any divergence aborts. Each side is the median of
+    three alternating runs. Recorded alongside: the CPUs this process
+    may use and the worker count the harness resolved for --threads=8
+    (capped at those CPUs). The >= 0.9x gate binds at any CPU count; the
+    >= 2x gate only on hosts with at least 8 (a 1-CPU runner cannot
+    exhibit parallel speedup, same pattern as the SIMD-conditional gates).
     """
     binary = os.path.join(build_dir, "bench", name)
     if not os.path.exists(binary):
         return None
-    serial = run_sweep_harness(binary, list(extra) + ["--threads=1"])
-    threaded = run_sweep_harness(binary, list(extra) + ["--threads=8"])
-    if serial["study"]["cells"] != threaded["study"]["cells"]:
-        sys.exit(f"error: {name}: 1-thread and 8-thread ACD cells differ")
-    serial_s = serial["elapsed_seconds"]
-    threaded_s = threaded["elapsed_seconds"]
+    runs = 3
+    serial_s, threaded_s = [], []
+    for i in range(runs):
+        order = [1, 8] if i % 2 == 0 else [8, 1]
+        docs = {}
+        for threads in order:
+            docs[threads] = run_sweep_harness(
+                binary, list(extra) + [f"--threads={threads}"])
+        serial, threaded = docs[1], docs[8]
+        if serial["study"]["cells"] != threaded["study"]["cells"]:
+            sys.exit(f"error: {name}: 1-thread and 8-thread ACD cells differ")
+        serial_s.append(serial["elapsed_seconds"])
+        threaded_s.append(threaded["elapsed_seconds"])
+    serial_med = statistics.median(serial_s)
+    threaded_med = statistics.median(threaded_s)
     return {
         "bench": name,
         "args": list(extra),
-        "cpus": os.cpu_count(),
+        # The CPUs this process may use (its affinity mask, so a
+        # taskset-pinned run records 1), not the host's core count.
+        "cpus": len(os.sched_getaffinity(0)),
+        "threads": threaded["threads"],
         "cells": len(serial["study"]["cells"]),
-        "serial_seconds": serial_s,
-        "threads8_seconds": threaded_s,
-        "speedup": serial_s / threaded_s if threaded_s > 0 else None,
+        "runs": runs,
+        "serial_seconds": serial_med,
+        "threads8_seconds": threaded_med,
+        "speedup": serial_med / threaded_med if threaded_med > 0 else None,
     }
 
 
@@ -801,8 +825,9 @@ def main():
     sched = result.get("scheduler_scaling")
     if sched and sched.get("speedup") is not None:
         print(f"  scheduler: {sched['serial_seconds']:.2f}s @1 thread vs "
-              f"{sched['threads8_seconds']:.2f}s @8 "
-              f"({sched['speedup']:.2f}x on {sched['cpus']} cpus)")
+              f"{sched['threads8_seconds']:.2f}s @8 requested "
+              f"({sched['speedup']:.2f}x, {sched['threads']} workers on "
+              f"{sched['cpus']} cpus)")
     warm = result.get("warm_store")
     if warm and warm.get("speedup") is not None:
         print(f"  warm_store: {warm['cold_seconds']:.2f}s cold vs "

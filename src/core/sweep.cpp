@@ -123,12 +123,10 @@ bool dense_argsort_pays(unsigned level, std::size_t n) noexcept {
 
 /// Particles of `raw` sorted by row-major packed cell id. The samplers
 /// place every particle in a distinct cell, so the order is unique — a
-/// linear dense scatter by cell id on compact grids, a (threaded) stable
-/// radix sort of (key, index) pairs beyond. Both produce the same unique
-/// permutation, so the canonical artifact is independent of the path and
-/// of the thread count.
-std::vector<Point2> canonical_order(const Sample2& raw, unsigned level,
-                                    util::ThreadPool* pool) {
+/// linear dense scatter by cell id on compact grids, a stable radix sort
+/// of (key, index) pairs beyond. Both produce the same unique
+/// permutation, so the canonical artifact is independent of the path.
+std::vector<Point2> canonical_order(const Sample2& raw, unsigned level) {
   std::vector<Point2> out;
   out.reserve(raw.size());
   if (dense_argsort_pays(level, raw.size())) {
@@ -149,7 +147,7 @@ std::vector<Point2> canonical_order(const Sample2& raw, unsigned level,
   }
   {
     const obs::Span span("sweep/canonical/radix");
-    util::radix_sort_pairs(items, pool);
+    util::radix_sort_pairs(items);
   }
   for (const util::KeyIndex& it : items) out.push_back(raw[it.index]);
   return out;
@@ -169,9 +167,7 @@ struct Ordering2 {
 /// the stable_sort the sorting AcdInstance constructor performs. Keys
 /// come from the batched encode (one virtual call for the whole sample);
 /// the argsort is a dense scatter + scan on compact grids and a stable
-/// LSD radix sort of (key, index) pairs beyond. Serial radix on purpose:
-/// ordering builds already fan out across curves on the pool, and a
-/// nested threaded sort would fight them for workers.
+/// LSD radix sort of (key, index) pairs beyond.
 Ordering2 make_ordering(const std::vector<Point2>& canonical, unsigned level,
                         const Curve<2>& curve) {
   const std::vector<std::uint64_t> keys = indices_of(curve, canonical, level);
@@ -571,7 +567,6 @@ StudyResult run_reuse(const Study& s, const SweepOptions& o) {
   result.stats.assign(s.cell_count(), AcdCellStats{});
 
   ArtifactStore* store = o.store;
-  util::ThreadPool* pool = o.pool;
   const double trials = s.trials;
   const std::size_t nrc = s.processor_order_count();
   Executor exec(store);
@@ -672,11 +667,11 @@ StudyResult run_reuse(const Study& s, const SweepOptions& o) {
         };
         canonical_node = plan(
             SweepStage::kCanonical, sample_key, sample,
-            [level = s.level, pool](const PlanNode& n) {
+            [level = s.level](const PlanNode& n) {
               const obs::Span span(stage_span_name(SweepStage::kCanonical));
               const auto raw = out_as<Sample2>(n.deps[0]);
               return artifact_of(std::make_shared<const CanonicalSample2>(
-                  canonical_order(*raw, level, pool), level));
+                  canonical_order(*raw, level), level));
             });
         return canonical_node;
       };
@@ -750,8 +745,8 @@ StudyResult run_reuse(const Study& s, const SweepOptions& o) {
             if (s.near_field) {
               hists.push_back(plan(
                   SweepStage::kNfiHistogram, nfi_key, canonical_and_ordering,
-                  [procs, radius = s.radius, norm = s.norm,
-                   pool](const PlanNode& n) {
+                  [procs, radius = s.radius,
+                   norm = s.norm](const PlanNode& n) {
                     const obs::Span span(
                         stage_span_name(SweepStage::kNfiHistogram));
                     const auto canon = out_as<CanonicalSample2>(n.deps[0]);
@@ -767,8 +762,7 @@ StudyResult run_reuse(const Study& s, const SweepOptions& o) {
                     auto hist = std::make_shared<const RankPairAccumulator>(
                         fmm::nfi_histogram_owners<2>(canon->particles,
                                                      canon->grid, owners,
-                                                     procs, radius, norm,
-                                                     pool));
+                                                     procs, radius, norm));
                     hist->seal();
                     return artifact_of(std::move(hist));
                   }));
@@ -777,14 +771,14 @@ StudyResult run_reuse(const Study& s, const SweepOptions& o) {
               hists.push_back(plan(
                   SweepStage::kFfiHistogram, ffi_key,
                   [&] { return Deps{instance()}; },
-                  [procs, pool](const PlanNode& n) {
+                  [procs](const PlanNode& n) {
                     const obs::Span span(
                         stage_span_name(SweepStage::kFfiHistogram));
                     const auto inst = out_as<AcdInstance<2>>(n.deps[0]);
                     const fmm::Partition part(inst->particles().size(),
                                               procs);
                     auto hist = std::make_shared<const fmm::FfiHistograms>(
-                        fmm::ffi_histograms<2>(inst->tree(), part, pool));
+                        fmm::ffi_histograms<2>(inst->tree(), part));
                     hist->interpolation.seal();
                     hist->interaction.seal();
                     return artifact_of(std::move(hist));
@@ -873,7 +867,7 @@ StudyResult run_reuse(const Study& s, const SweepOptions& o) {
   }
 
   // ---- execute ----------------------------------------------------
-  execute(nodes, exec, pool);
+  execute(nodes, exec, o.pool);
   exec.rethrow_failure();
   if (store != nullptr) store->publish_metrics();
 
@@ -902,12 +896,6 @@ StudyResult run_reuse(const Study& s, const SweepOptions& o) {
         .gauge("sweep.stage.order.ns_per_particle")
         .set(static_cast<double>(order_build_ns.load()) /
              static_cast<double>(order_build_particles.load()));
-    // Which sort path the ordering stage's record counts selected:
-    // mirrors the calibrated (or overridden) threaded-radix cutoff next
-    // to the per-particle cost it gates.
-    obs::Registry::instance()
-        .gauge("sweep.stage.order.radix_threshold")
-        .set(static_cast<double>(util::detail::threaded_radix_min()));
   }
   return result;
 }

@@ -85,9 +85,8 @@ struct StageCounters {
 /// inputs, so a stored fold leaves its histograms uncounted, and so on
 /// upstream. They depend only on the study (and the
 /// store's contents), never on the thread count. `bytes` sums the
-/// artifacts' memory_bytes() (a histogram built on a pool may hold a
-/// little more or less capacity than a serial one); `peak_bytes` is
-/// measured, so under a pool it depends on scheduling. See
+/// artifacts' memory_bytes(); `peak_bytes` is measured, so under a pool
+/// it depends on scheduling. See
 /// docs/architecture.md, "Cell-graph scheduling".
 struct SweepStats {
   StageCounters stages[kSweepStageCount];
@@ -199,7 +198,10 @@ using CellProgressFn =
 class ArtifactStore;
 
 struct SweepOptions {
-  util::ThreadPool* pool = nullptr;  ///< parallelism (cell graph + kernels)
+  /// Parallelism, one level of it. With reuse the pool runs plan nodes,
+  /// and a node's kernels run on the thread that runs the node; without
+  /// reuse it runs the per-cell kernels.
+  util::ThreadPool* pool = nullptr;
   /// false = evaluate every cell from scratch (no artifact reuse): the
   /// legacy per-cell pipeline, kept as the equivalence oracle and the
   /// speedup baseline. Results are bit-identical either way.

@@ -226,7 +226,11 @@ struct Printer<Point<D>> {
 template <typename T>
 struct Printer<std::vector<T>> {
   static std::string print(const std::vector<T>& v) {
-    std::string s = std::string("[") + std::to_string(v.size()) + " elems:";
+    // Appended, not operator+: GCC 12 flags `string("[") + to_string(n)`
+    // with a false -Wrestrict once it is inlined deeply enough.
+    std::string s = "[";
+    s += std::to_string(v.size());
+    s += " elems:";
     const std::size_t shown = v.size() < 16 ? v.size() : 16;
     for (std::size_t i = 0; i < shown; ++i) {
       s += ' ';

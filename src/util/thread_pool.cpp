@@ -1,5 +1,9 @@
 #include "util/thread_pool.hpp"
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <string>
 
 #include "obs/metrics.hpp"
@@ -38,6 +42,19 @@ thread_local const ThreadPool* t_worker_pool = nullptr;
 
 }  // namespace
 
+unsigned available_cpus() noexcept {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    const int n = CPU_COUNT(&set);
+    if (n > 0) return static_cast<unsigned>(n);
+  }
+#endif
+  const unsigned n = std::thread::hardware_concurrency();
+  return n > 0 ? n : 1;
+}
+
 unsigned ThreadPool::current_worker_index() noexcept {
   return t_worker_index;
 }
@@ -47,10 +64,7 @@ bool ThreadPool::current_thread_in_pool() const noexcept {
 }
 
 ThreadPool::ThreadPool(unsigned threads) {
-  if (threads == 0) {
-    threads = std::thread::hardware_concurrency();
-    if (threads == 0) threads = 1;
-  }
+  if (threads == 0) threads = available_cpus();
   workers_.reserve(threads);
   for (unsigned i = 0; i < threads; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });

@@ -6,17 +6,17 @@
 // bit-reproducible regardless of scheduling), and a completion Latch for
 // the sweep scheduler's task graph.
 //
-// Nested-submit safety: the sweep engine runs whole pipeline stages as
-// pool tasks, and those stages fan out *again* (threaded radix sort, NFI
-// chunking) on the same pool. A worker that blocked inside such a nested
-// fan-out would strand its chunks in the queue behind other stage tasks —
-// with every worker blocked that is a deadlock. The fan-out helpers
-// therefore never sleep when the calling thread may legally execute
-// queued tasks: they pop and run tasks (try_run_one) until their own
-// chunks are done. Helping is restricted to workers of the *same* pool
-// and to non-worker threads (the coordinator): a worker of a different
-// pool keeps the old blocking wait, so per-worker shard slots
-// (RankPairShards) stay exclusive.
+// One level of parallelism: the sweep engine runs whole pipeline stages
+// as pool tasks, and a stage's kernels run on the thread that runs the
+// stage; only coordinator-side callers (the direct path, AcdInstance,
+// DynamicAcd) hand the pool to a kernel. Nested fan-out stays safe all
+// the same: a join never sleeps when the calling thread may legally
+// execute queued tasks — it pops and runs tasks (try_run_one) until its
+// own chunks are done, so a fan-out from inside a task cannot strand its
+// chunks behind other tasks with every worker blocked. Helping is
+// restricted to workers of the *same* pool and to non-worker threads
+// (the coordinator): a worker of a different pool keeps the blocking
+// wait, so per-worker shard slots (RankPairShards) stay exclusive.
 //
 // Observability: when obs tracing or metrics are runtime-enabled, every
 // task is stamped at submit and the workers record queue-wait and run-time
@@ -38,9 +38,14 @@
 
 namespace sfc::util {
 
+/// CPUs this process may run on: the sched_getaffinity count where the
+/// platform has one, else std::thread::hardware_concurrency(); at least 1.
+unsigned available_cpus() noexcept;
+
 class ThreadPool {
  public:
-  /// Creates `threads` workers; 0 means std::thread::hardware_concurrency().
+  /// Creates `threads` workers; 0 means available_cpus(). An explicit
+  /// count is kept as given, even above the CPU count.
   explicit ThreadPool(unsigned threads = 0);
   ~ThreadPool();
 

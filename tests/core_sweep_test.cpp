@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "util/thread_pool.hpp"
 
 namespace sfc::core {
@@ -324,6 +325,46 @@ TEST(SweepEngine, ResultsAndOrderingIdenticalAcrossThreadCounts) {
       EXPECT_EQ(threaded.progress[i].topology, serial.progress[i].topology);
     }
   }
+}
+
+TEST(SweepEngine, PooledRunRunsOnePoolTaskPerBuiltPlanNode) {
+  // One level of parallelism: the pool runs plan nodes and nothing else.
+  // A stage build that handed the pool to its kernel again (a chunked
+  // NFI or FFI histogram at p = 1024, a threaded sort) would submit more
+  // tasks than the plan has nodes. Topologies are built while planning,
+  // on the coordinator, so they are not pool tasks.
+  Study s = toy_topology_study();
+  s.particles = 4000;
+  s.level = 7;
+  s.particle_curves = {CurveKind::kHilbert, CurveKind::kMorton};
+  s.topologies = {topo::TopologyKind::kTorus};
+  s.proc_counts = {1024};
+
+  obs::Registry& registry = obs::Registry::instance();
+  obs::Histogram& run_ns = registry.histogram("pool.run_ns");
+  registry.set_enabled(true);
+  run_ns.reset();
+  util::ThreadPool pool(4);
+  SweepOptions options;
+  options.pool = &pool;
+  const StudyResult run = run_study(s, options);
+  const std::uint64_t tasks = run_ns.count();
+  registry.set_enabled(false);
+
+  // Every node is built (no store): one miss per node for the producer
+  // stages, and one fold node per cell, which counts a miss per model.
+  std::uint64_t nodes = 0;
+  for (unsigned i = 0; i < kSweepStageCount; ++i) {
+    const auto stage = static_cast<SweepStage>(i);
+    if (stage == SweepStage::kTopology || stage == SweepStage::kFold) continue;
+    nodes += run.sweep.stage(stage).misses;
+  }
+  EXPECT_EQ(run.sweep.stage(SweepStage::kFold).misses, 2 * s.cell_count());
+  nodes += s.cell_count();
+  // 1 sample, 1 canonical, and per curve an ordering, an instance, an
+  // NFI and an FFI histogram, and a fold.
+  EXPECT_EQ(nodes, 12u);
+  EXPECT_EQ(tasks, nodes);
 }
 
 TEST(SweepEngine, InvalidTorusSizeThrows) {

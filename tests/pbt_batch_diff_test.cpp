@@ -6,16 +6,14 @@
 // Hilbert/Moore state machines have no tolerance for drift — the sweep
 // cache keys and golden numbers are downstream), and radix_sort_pairs
 // must produce exactly the permutation std::stable_sort produces on
-// duplicate-heavy keys, serial and threaded alike.
+// duplicate-heavy keys.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <iterator>
 #include <ostream>
-#include <random>
 #include <vector>
 
 #include "sfc/curve.hpp"
@@ -23,7 +21,6 @@
 #include "testing/gtest.hpp"
 #include "util/radix_sort.hpp"
 #include "util/simd.hpp"
-#include "util/thread_pool.hpp"
 
 namespace sfc::pbt {
 namespace {
@@ -329,57 +326,6 @@ TEST(BatchDiff, RadixMatchesStableSortOnDuplicateHeavyKeys) {
                      });
     return same_permutation(radix, stable);
   });
-}
-
-TEST(BatchDiff, ThreadedRadixMatchesSerialAboveCutoff) {
-  // The serial/threaded cutoff is calibrated per machine, so pin it to
-  // its floor for this test: 50k pairs then always clears it and the
-  // pool path actually runs. Dup-heavy keys make any stability break
-  // visible and the high byte forces a multi-pass sort across
-  // non-adjacent byte positions.
-  ::setenv("SFCACD_RADIX_THREAD_MIN", "4096", 1);
-  struct EnvGuard {
-    ~EnvGuard() { ::unsetenv("SFCACD_RADIX_THREAD_MIN"); }
-  } guard;
-  ASSERT_LE(util::detail::threaded_radix_min(), 50000u);
-  std::mt19937_64 rng(20260806);
-  std::vector<std::uint64_t> keys(50000);
-  for (auto& k : keys) {
-    k = ((rng() % 7) << 40) | ((rng() % 5) << 8) | (rng() % 3);
-  }
-  std::vector<util::KeyIndex> serial = pairs_of(keys);
-  util::radix_sort_pairs(serial);
-
-  std::vector<util::KeyIndex> stable = pairs_of(keys);
-  std::stable_sort(stable.begin(), stable.end(),
-                   [](const util::KeyIndex& x, const util::KeyIndex& y) {
-                     return x.key < y.key;
-                   });
-  ASSERT_TRUE(same_permutation(serial, stable));
-
-  for (const unsigned workers : {2u, 3u, 4u}) {
-    util::ThreadPool pool(workers);
-    std::vector<util::KeyIndex> threaded = pairs_of(keys);
-    util::radix_sort_pairs(threaded, &pool);
-    EXPECT_TRUE(same_permutation(serial, threaded)) << workers << " workers";
-  }
-}
-
-TEST(BatchDiff, ThreadedRadixFallsBackBelowCutoff) {
-  // Below the cutoff the pool must be ignored entirely (no fan-out
-  // latency on small sorts) and the result still match stable_sort.
-  std::mt19937_64 rng(7);
-  std::vector<std::uint64_t> keys(1000);
-  for (auto& k : keys) k = rng() % 11;
-  util::ThreadPool pool(4);
-  std::vector<util::KeyIndex> threaded = pairs_of(keys);
-  util::radix_sort_pairs(threaded, &pool);
-  std::vector<util::KeyIndex> stable = pairs_of(keys);
-  std::stable_sort(stable.begin(), stable.end(),
-                   [](const util::KeyIndex& x, const util::KeyIndex& y) {
-                     return x.key < y.key;
-                   });
-  EXPECT_TRUE(same_permutation(threaded, stable));
 }
 
 TEST(BatchDiff, RadixHandlesDegenerateInputs) {

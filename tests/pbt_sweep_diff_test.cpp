@@ -268,14 +268,9 @@ TEST(SweepDiff, EveryThreadCountMatchesTheNoReuseOracle) {
 
 TEST(SweepDiff, ThreadedRadixInsideSweepTasksMatchesTheOracle) {
   // Level 10 with a few thousand particles takes the radix argsort in the
-  // canonical stage (study_gen's level 5-6 grids take the dense one), and
-  // the pinned cutoff makes that sort fan out on the pool from inside a
-  // pool task. Six canonical builds on 2 or 4 workers then have every
-  // worker joining a sort at once; the joins must help, not deadlock.
-  ::setenv("SFCACD_RADIX_THREAD_MIN", "4096", 1);
-  struct EnvGuard {
-    ~EnvGuard() { ::unsetenv("SFCACD_RADIX_THREAD_MIN"); }
-  } guard;
+  // canonical stage (study_gen's level 5-6 grids take the dense one).
+  // Six canonical builds on 2 or 4 workers then run their sorts inside
+  // pool tasks at once, and must agree with the no-reuse oracle.
   core::Study s;
   s.name = "radix_in_tasks";
   s.particles = 5000;

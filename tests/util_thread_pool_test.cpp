@@ -2,7 +2,6 @@
 #include "util/thread_pool.hpp"
 
 #include <gtest/gtest.h>
-#include <stdlib.h>
 
 #include <atomic>
 #include <cstdint>
@@ -33,6 +32,16 @@ TEST(ThreadPool, WaitIdleOnEmptyPool) {
 TEST(ThreadPool, SizeMatchesRequest) {
   ThreadPool pool(3);
   EXPECT_EQ(pool.size(), 3u);
+}
+
+TEST(ThreadPool, ZeroSizesToTheAvailableCpusAndAnExplicitCountIsKept) {
+  EXPECT_GE(available_cpus(), 1u);
+  ThreadPool automatic(0);
+  EXPECT_EQ(automatic.size(), available_cpus());
+  // Oversubscription stays possible: the thread-count suites need more
+  // workers than a small host has CPUs.
+  ThreadPool oversubscribed(available_cpus() + 2);
+  EXPECT_EQ(oversubscribed.size(), available_cpus() + 2);
 }
 
 TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
@@ -88,49 +97,57 @@ TEST(ParallelReduce, SingleWorkerFallback) {
 }
 
 TEST(RadixSort, ThreadedSortsFromEveryWorkerAtOnceFinish) {
-  // Both workers of a 2-worker pool meet, then each runs a threaded radix
-  // sort on that same pool. With no idle worker left, the sorts' chunk
-  // tasks can only run if the joins help drain the queue; a join that
-  // sleeps instead deadlocks the pool. The cutoff is pinned to its floor
-  // so the threaded path runs.
-  ::setenv("SFCACD_RADIX_THREAD_MIN", "4096", 1);
-  struct EnvGuard {
-    ~EnvGuard() { ::unsetenv("SFCACD_RADIX_THREAD_MIN"); }
-  } guard;
+  // Both workers of a 2-worker pool meet, then each fans a segmented
+  // radix sort out over that same pool with parallel_for_chunks. With no
+  // idle worker left, the chunk tasks can only run if the joins help
+  // drain the queue; a join that sleeps instead deadlocks the pool.
   constexpr std::size_t kN = 20000;
+  constexpr std::size_t kSegment = 500;
   auto input = [](std::uint64_t salt) {
-    std::vector<KeyIndex> items(kN);
+    std::vector<std::vector<KeyIndex>> segments(kN / kSegment);
     std::uint64_t x = 0x9e3779b97f4a7c15ull ^ salt;
-    for (std::size_t i = 0; i < kN; ++i) {
-      x ^= x << 13;
-      x ^= x >> 7;
-      x ^= x << 17;
-      items[i] = {x & 0xfffffu, static_cast<std::uint32_t>(i)};
+    for (auto& segment : segments) {
+      segment.resize(kSegment);
+      for (std::size_t i = 0; i < kSegment; ++i) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        segment[i] = {x & 0xfffffu, static_cast<std::uint32_t>(i)};
+      }
     }
-    return items;
+    return segments;
   };
-  std::vector<KeyIndex> expected[2] = {input(1), input(2)};
-  for (auto& e : expected) radix_sort_pairs(e);
+  std::vector<std::vector<KeyIndex>> expected[2] = {input(1), input(2)};
+  for (auto& segments : expected) {
+    for (auto& segment : segments) radix_sort_pairs(segment);
+  }
 
   ThreadPool pool(2);
-  ASSERT_LE(detail::threaded_radix_min(), kN);
-  std::vector<KeyIndex> sorted[2] = {input(1), input(2)};
+  std::vector<std::vector<KeyIndex>> sorted[2] = {input(1), input(2)};
   Latch met(2);
   Latch done(2);
-  for (auto& items : sorted) {
-    pool.submit([&met, &done, &items, &pool] {
+  for (auto& segments : sorted) {
+    pool.submit([&met, &done, &segments, &pool] {
       met.count_down();
       met.wait();
-      radix_sort_pairs(items, &pool);
+      parallel_for_chunks(pool, 0, segments.size(), 1,
+                          [&segments](std::size_t lo, std::size_t hi) {
+                            for (std::size_t s = lo; s < hi; ++s) {
+                              radix_sort_pairs(segments[s]);
+                            }
+                          });
       done.count_down();
     });
   }
   done.wait();  // a plain wait: this thread must not run the chunks
   for (std::size_t k = 0; k < 2; ++k) {
     ASSERT_EQ(sorted[k].size(), expected[k].size());
-    for (std::size_t i = 0; i < kN; ++i) {
-      ASSERT_EQ(sorted[k][i].key, expected[k][i].key) << k << ", " << i;
-      ASSERT_EQ(sorted[k][i].index, expected[k][i].index) << k << ", " << i;
+    for (std::size_t s = 0; s < sorted[k].size(); ++s) {
+      for (std::size_t i = 0; i < kSegment; ++i) {
+        ASSERT_EQ(sorted[k][s][i].key, expected[k][s][i].key) << k << ", " << s;
+        ASSERT_EQ(sorted[k][s][i].index, expected[k][s][i].index)
+            << k << ", " << s;
+      }
     }
   }
 }
