@@ -10,7 +10,7 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+static int run_bench(int argc, char** argv) {
   using namespace sfc;
 
   util::ArgParser args("ablation_distribution",
@@ -85,4 +85,8 @@ int main(int argc, char** argv) {
                "curve ordering never changes, so dynamically\nreordering "
                "particles between FMM iterations buys nothing.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sfc::bench::run_main(argc, argv, run_bench);
 }

@@ -7,7 +7,7 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+static int run_bench(int argc, char** argv) {
   using namespace sfc;
 
   util::ArgParser args("ablation_radius", "NFI ACD as a function of radius");
@@ -69,4 +69,8 @@ int main(int argc, char** argv) {
                "with r, but the per-row ordering of the\ncurves (Hilbert "
                "best, row-major worst) never changes.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sfc::bench::run_main(argc, argv, run_bench);
 }

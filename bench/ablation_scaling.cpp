@@ -7,7 +7,7 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+static int run_bench(int argc, char** argv) {
   using namespace sfc;
 
   util::ArgParser args("ablation_scaling",
@@ -75,4 +75,8 @@ int main(int argc, char** argv) {
   std::cout << "\nexpected shape: Hilbert stays best at every input size; "
                "the absolute gap to row-major widens as n grows.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sfc::bench::run_main(argc, argv, run_bench);
 }

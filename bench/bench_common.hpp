@@ -1,11 +1,13 @@
 // bench_common.hpp — shared plumbing for the experiment binaries: the
-// common CLI flags and table style of the binaries that do not use
-// run_harness, and the paper's reported 4x4 matrices as an overlay table
-// in the paper's layout (particle order across, processor order down,
-// row/column minima marked like the paper's boldface/italics).
+// common CLI flags, table style and error path of the binaries that do
+// not use run_harness, and the paper's reported 4x4 matrices as an
+// overlay table in the paper's layout (particle order across, processor
+// order down, row/column minima marked like the paper's
+// boldface/italics).
 #pragma once
 
 #include <cstdlib>
+#include <exception>
 #include <iostream>
 #include <string>
 
@@ -36,6 +38,18 @@ inline bool parse_or_usage(util::ArgParser& args, int argc,
     return false;
   }
   return true;
+}
+
+/// Run a bench body, reporting an escaping exception (an invalid
+/// parameter surfaces as std::invalid_argument) like a malformed command
+/// line: `error: <what>` on stderr and exit status 1, never an abort.
+inline int run_main(int argc, char** argv, int (*body)(int, char**)) {
+  try {
+    return body(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
 }
 
 inline util::TableStyle table_style(const util::ArgParser& args) {

@@ -6,7 +6,7 @@
 
 #include "bench_common.hpp"
 
-int main(int argc, char** argv) {
+static int run_bench(int argc, char** argv) {
   using namespace sfc;
 
   util::ArgParser args("ext_3d_acd", "ACD comparison in three dimensions");
@@ -66,4 +66,8 @@ int main(int argc, char** argv) {
                "remains best, the scan orders remain far worse, and the "
                "distribution ordering matches Table I.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sfc::bench::run_main(argc, argv, run_bench);
 }

@@ -9,7 +9,7 @@
 #include "bench_common.hpp"
 #include "fmm/barnes_hut.hpp"
 
-int main(int argc, char** argv) {
+static int run_bench(int argc, char** argv) {
   using namespace sfc;
 
   util::ArgParser args("ext_barneshut",
@@ -78,4 +78,8 @@ int main(int argc, char** argv) {
                "communication volume is SFC-independent — the ordering "
                "only moves the traffic closer.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sfc::bench::run_main(argc, argv, run_bench);
 }

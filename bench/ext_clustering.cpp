@@ -7,7 +7,7 @@
 #include "bench_common.hpp"
 #include "core/clustering.hpp"
 
-int main(int argc, char** argv) {
+static int run_bench(int argc, char** argv) {
   using namespace sfc;
 
   util::ArgParser args("ext_clustering",
@@ -64,4 +64,8 @@ int main(int argc, char** argv) {
                "of the ANNS metric in Figure 5, which is the paper's "
                "central observation about metric choice.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sfc::bench::run_main(argc, argv, run_bench);
 }

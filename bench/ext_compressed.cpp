@@ -10,7 +10,7 @@
 #include "bench_common.hpp"
 #include "fmm/compressed.hpp"
 
-int main(int argc, char** argv) {
+static int run_bench(int argc, char** argv) {
   using namespace sfc;
 
   util::ArgParser args("ext_compressed",
@@ -73,4 +73,8 @@ int main(int argc, char** argv) {
                "which tree representation you count when quoting ACD "
                "values.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sfc::bench::run_main(argc, argv, run_bench);
 }

@@ -8,7 +8,7 @@
 #include "bench_common.hpp"
 #include "core/contention.hpp"
 
-int main(int argc, char** argv) {
+static int run_bench(int argc, char** argv) {
   using namespace sfc;
 
   util::ArgParser args("ext_contention",
@@ -78,4 +78,8 @@ int main(int argc, char** argv) {
                "minimizing ACD does not trade away congestion in this "
                "model.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sfc::bench::run_main(argc, argv, run_bench);
 }

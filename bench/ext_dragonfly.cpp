@@ -10,7 +10,7 @@
 #include "comm/primitives.hpp"
 #include "topology/dragonfly.hpp"
 
-int main(int argc, char** argv) {
+static int run_bench(int argc, char** argv) {
   using namespace sfc;
 
   util::ArgParser args("ext_dragonfly",
@@ -84,4 +84,8 @@ int main(int argc, char** argv) {
                "but the particle-ordering\nquestion (who owns which data) "
                "is topology-independent and remains in full force.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sfc::bench::run_main(argc, argv, run_bench);
 }

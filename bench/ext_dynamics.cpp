@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
               << " drift steps at move fraction " << study.move_fraction
               << " ==\n\n";
 
-    const core::DynamicsResult result = core::run_dynamics(study, h.pool());
+    const core::DynamicsResult result = core::run_dynamics(study);
 
     util::Table table(
         "NFI ACD per iteration: frozen vs re-sorted vs advisor chunking");
@@ -158,7 +158,7 @@ int main(int argc, char** argv) {
     dyn_opts.repartition_threshold = 2.0;  // frozen: never re-partition
     core::DynamicAcd<2> dyn(
         dist::sample_particles<2>(study.distribution, cfg), study.level,
-        *curve_impl, study.procs, dyn_opts, h.pool());
+        *curve_impl, study.procs, dyn_opts);
 
     std::vector<double> speedups;
     speedups.reserve(study.steps);
@@ -166,7 +166,7 @@ int main(int argc, char** argv) {
       const auto moves = core::drift_moves<2>(
           dyn.particles(), study.level, study.seed, s, study.move_fraction);
       const double t0 = now_seconds();
-      dyn.move_particles(moves, h.pool());
+      dyn.move_particles(moves);
       const core::CommTotals inc_nfi = dyn.nfi(*net);
       const fmm::FfiTotals inc_ffi = dyn.ffi(*net);
       const double t1 = now_seconds();
@@ -175,9 +175,8 @@ int main(int argc, char** argv) {
       const fmm::CellTree<2> tree(cur, study.level);
       const fmm::Partition part(cur.size(), study.procs);
       const core::CommTotals ref_nfi = fmm::nfi_totals<2>(
-          cur, grid, part, *net, study.radius, study.norm, h.pool());
-      const fmm::FfiTotals ref_ffi =
-          fmm::ffi_totals<2>(tree, part, *net, h.pool());
+          cur, grid, part, *net, study.radius, study.norm);
+      const fmm::FfiTotals ref_ffi = fmm::ffi_totals<2>(tree, part, *net);
       const double t2 = now_seconds();
       if (inc_nfi != ref_nfi || inc_ffi.total() != ref_ffi.total()) {
         std::cerr << "error: incremental totals diverged from the full "

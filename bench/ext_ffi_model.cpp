@@ -9,7 +9,7 @@
 #include "bench_common.hpp"
 #include "fmm/ffi_logtree.hpp"
 
-int main(int argc, char** argv) {
+static int run_bench(int argc, char** argv) {
   using namespace sfc;
 
   util::ArgParser args("ext_ffi_model",
@@ -74,4 +74,8 @@ int main(int argc, char** argv) {
                "differences, which is one reason the cell-tree reading "
                "matches the paper's reported spreads better.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sfc::bench::run_main(argc, argv, run_bench);
 }

@@ -9,7 +9,7 @@
 #include "topology/graph.hpp"
 #include "util/rng.hpp"
 
-int main(int argc, char** argv) {
+static int run_bench(int argc, char** argv) {
   using namespace sfc;
 
   util::ArgParser args("ext_irregular",
@@ -100,4 +100,8 @@ int main(int argc, char** argv) {
                "columns cross-check the closed-form torus\n(they match "
                "bench/fig6 values for the same setting).\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sfc::bench::run_main(argc, argv, run_bench);
 }

@@ -8,7 +8,7 @@
 #include "bench_common.hpp"
 #include "comm/primitives.hpp"
 
-int main(int argc, char** argv) {
+static int run_bench(int argc, char** argv) {
   using namespace sfc;
 
   util::ArgParser args("ext_moore_ranking",
@@ -79,4 +79,8 @@ int main(int argc, char** argv) {
                "closed loop removes the wrap penalty that\nHilbert pays "
                "without torus links.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sfc::bench::run_main(argc, argv, run_bench);
 }

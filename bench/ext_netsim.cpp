@@ -11,7 +11,7 @@
 #include "topology/grid.hpp"
 #include "topology/netsim.hpp"
 
-int main(int argc, char** argv) {
+static int run_bench(int argc, char** argv) {
   using namespace sfc;
 
   util::ArgParser args("ext_netsim",
@@ -80,4 +80,8 @@ int main(int argc, char** argv) {
                "serialization — locality both shortens\npaths and spreads "
                "them over disjoint links.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sfc::bench::run_main(argc, argv, run_bench);
 }

@@ -11,7 +11,7 @@
 #include "bench_common.hpp"
 #include "fmm/nfi.hpp"
 
-int main(int argc, char** argv) {
+static int run_bench(int argc, char** argv) {
   using namespace sfc;
 
   util::ArgParser args("ext_stencil",
@@ -81,4 +81,8 @@ int main(int argc, char** argv) {
                "the most compact; row-major's\nchunks are 1-cell-thin "
                "strips whose entire surface is remote.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sfc::bench::run_main(argc, argv, run_bench);
 }

@@ -8,7 +8,7 @@
 #include "bench_common.hpp"
 #include "fmm/enumerate.hpp"
 
-int main(int argc, char** argv) {
+static int run_bench(int argc, char** argv) {
   using namespace sfc;
 
   util::ArgParser args("ext_weighted",
@@ -74,4 +74,8 @@ int main(int argc, char** argv) {
                "recommendations hold for the load-balanced deployment "
                "too.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sfc::bench::run_main(argc, argv, run_bench);
 }

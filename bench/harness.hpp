@@ -27,6 +27,7 @@
 #include <functional>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -63,8 +64,15 @@ class NullBuffer : public std::streambuf {
 class Harness {
  public:
   explicit Harness(util::ArgParser& args) : args_(args), null_(&null_buffer_) {
-    if (args.i64("trials") < 1) {
-      throw std::invalid_argument("--trials must be at least 1");
+    const long long trials = args.i64("trials");
+    if (trials < 1 || trials > std::numeric_limits<unsigned>::max()) {
+      throw std::invalid_argument("--trials must be between 1 and " +
+                                  std::to_string(
+                                      std::numeric_limits<unsigned>::max()));
+    }
+    if (args.i64("store-budget") < 0) {
+      throw std::invalid_argument(
+          "--store-budget must be 0 (the default budget) or more");
     }
     obs::Tracer::instance().set_thread_name("main");
     if (!args.str("trace").empty()) {

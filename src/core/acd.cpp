@@ -42,20 +42,18 @@ AcdInstance<D>::AcdInstance(std::vector<Point<D>> particles, unsigned level,
 template <int D>
 CommTotals AcdInstance<D>::nfi(const fmm::Partition& part,
                                const topo::Topology& net, unsigned radius,
-                               fmm::NeighborNorm norm,
-                               util::ThreadPool* pool) const {
-  return fmm::nfi_totals<D>(particles_, grid_, part, net, radius, norm, pool);
+                               fmm::NeighborNorm norm) const {
+  return fmm::nfi_totals<D>(particles_, grid_, part, net, radius, norm);
 }
 
 template <int D>
 fmm::FfiTotals AcdInstance<D>::ffi(const fmm::Partition& part,
-                                   const topo::Topology& net,
-                                   util::ThreadPool* pool) const {
-  return fmm::ffi_totals<D>(tree_, part, net, pool);
+                                   const topo::Topology& net) const {
+  return fmm::ffi_totals<D>(tree_, part, net);
 }
 
 template <int D>
-AcdResult compute_acd(const Scenario<D>& scenario, util::ThreadPool* pool) {
+AcdResult compute_acd(const Scenario<D>& scenario) {
   dist::SampleConfig sample;
   sample.count = scenario.particles;
   sample.level = scenario.level;
@@ -72,15 +70,14 @@ AcdResult compute_acd(const Scenario<D>& scenario, util::ThreadPool* pool) {
   const fmm::Partition part(instance.particles().size(), scenario.procs);
 
   AcdResult result;
-  result.nfi = instance.nfi(part, *net, scenario.radius,
-                            fmm::NeighborNorm::kChebyshev, pool);
-  result.ffi = instance.ffi(part, *net, pool);
+  result.nfi = instance.nfi(part, *net, scenario.radius);
+  result.ffi = instance.ffi(part, *net);
   return result;
 }
 
 template class AcdInstance<2>;
 template class AcdInstance<3>;
-template AcdResult compute_acd<2>(const Scenario<2>&, util::ThreadPool*);
-template AcdResult compute_acd<3>(const Scenario<3>&, util::ThreadPool*);
+template AcdResult compute_acd<2>(const Scenario<2>&);
+template AcdResult compute_acd<3>(const Scenario<3>&);
 
 }  // namespace sfc::core

@@ -87,12 +87,11 @@ class AcdInstance {
   /// Near-field totals for a processor count/topology choice.
   CommTotals nfi(const fmm::Partition& part, const topo::Topology& net,
                  unsigned radius,
-                 fmm::NeighborNorm norm = fmm::NeighborNorm::kChebyshev,
-                 util::ThreadPool* pool = nullptr) const;
+                 fmm::NeighborNorm norm = fmm::NeighborNorm::kChebyshev) const;
 
   /// Far-field totals for a processor count/topology choice.
-  fmm::FfiTotals ffi(const fmm::Partition& part, const topo::Topology& net,
-                     util::ThreadPool* pool = nullptr) const;
+  fmm::FfiTotals ffi(const fmm::Partition& part,
+                     const topo::Topology& net) const;
 
  private:
   struct FromSortedTag {};
@@ -119,8 +118,7 @@ std::vector<Point<D>> sort_by_curve(std::vector<Point<D>> particles,
 
 /// One-shot evaluation of a scenario: sample, order, distribute, count.
 template <int D>
-AcdResult compute_acd(const Scenario<D>& scenario,
-                      util::ThreadPool* pool = nullptr);
+AcdResult compute_acd(const Scenario<D>& scenario);
 
 extern template class AcdInstance<2>;
 extern template class AcdInstance<3>;
@@ -130,9 +128,7 @@ extern template std::vector<Point<2>> sort_by_curve<2>(std::vector<Point<2>>,
 extern template std::vector<Point<3>> sort_by_curve<3>(std::vector<Point<3>>,
                                                        unsigned,
                                                        const Curve<3>&);
-extern template AcdResult compute_acd<2>(const Scenario<2>&,
-                                         util::ThreadPool*);
-extern template AcdResult compute_acd<3>(const Scenario<3>&,
-                                         util::ThreadPool*);
+extern template AcdResult compute_acd<2>(const Scenario<2>&);
+extern template AcdResult compute_acd<3>(const Scenario<3>&);
 
 }  // namespace sfc::core

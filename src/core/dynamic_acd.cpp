@@ -9,19 +9,11 @@
 #include "util/rng.hpp"
 
 namespace sfc::core {
-namespace {
-
-/// Below this many movers the per-step delta runs on the calling thread:
-/// the shard zeroing + merge costs more than the window scans it would
-/// parallelize.
-constexpr std::size_t kParallelMoverCutoff = 512;
-
-}  // namespace
 
 template <int D>
 DynamicAcd<D>::DynamicAcd(std::vector<Point<D>> particles, unsigned level,
                           const Curve<D>& curve, topo::Rank procs,
-                          Options opts, util::ThreadPool* pool)
+                          Options opts)
     : curve_(&curve),
       level_(level),
       procs_(procs),
@@ -36,11 +28,11 @@ DynamicAcd<D>::DynamicAcd(std::vector<Point<D>> particles, unsigned level,
       nfi_deltas_(procs),
       ffi_interp_deltas_(procs),
       ffi_inter_deltas_(procs) {
-  build(pool);
+  build();
 }
 
 template <int D>
-void DynamicAcd<D>::build(util::ThreadPool* pool) {
+void DynamicAcd<D>::build() {
   // NFI: the *directed* event multiset — one event per ordered window
   // pair, recorded from the source side. The static fast path compresses
   // the mirror event into a count-2 entry on one orientation; the
@@ -51,30 +43,17 @@ void DynamicAcd<D>::build(util::ThreadPool* pool) {
   const std::int32_t* cells = grid_.dense_cells();
   const std::int64_t r = opts_.radius;
   const bool cheb = opts_.norm == fmm::NeighborNorm::kChebyshev;
-  auto range = [&](RankPairAccumulator& acc, std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      const topo::Rank src = owners_[i];
-      fmm::visit_window_neighbors<D>(
-          grid_, cells, positions_[i], r, cheb,
-          [&](std::size_t j) { acc.add(src, owners_[j]); });
-    }
-  };
-  if (pool == nullptr || pool->size() <= 1) {
-    range(nfi_acc_, 0, positions_.size());
-  } else {
-    RankPairShards shards(procs_, pool->size());
-    util::parallel_for_chunks(*pool, 0, positions_.size(), util::kAutoGrain,
-                              [&](std::size_t lo, std::size_t hi) {
-                                range(shards.local(), lo, hi);
-                              });
-    shards.merge_into(nfi_acc_);
+  for (std::size_t i = 0; i < positions_.size(); ++i) {
+    const topo::Rank src = owners_[i];
+    fmm::visit_window_neighbors<D>(
+        grid_, cells, positions_[i], r, cheb,
+        [&](std::size_t j) { nfi_acc_.add(src, owners_[j]); });
   }
 
   // FFI: ffi_histograms already records the true directed multiset
   // (every interpolation and interaction-list event once, from its
   // source side), so the static builder seeds the dynamic state as-is.
-  ffi_ = fmm::ffi_histograms<D>(fmm::CellTree<D>(positions_, level_), part_,
-                                pool);
+  ffi_ = fmm::ffi_histograms<D>(fmm::CellTree<D>(positions_, level_), part_);
 
   // Freeze each chunk's curve-key interval for displacement tracking.
   const std::vector<std::uint64_t> keys =
@@ -90,24 +69,24 @@ void DynamicAcd<D>::build(util::ThreadPool* pool) {
 }
 
 template <int D>
-void DynamicAcd<D>::rebuild(util::ThreadPool* pool) {
+void DynamicAcd<D>::rebuild() {
   positions_ = sort_by_curve<D>(std::move(positions_), level_, *curve_);
   grid_ = fmm::OccupancyGrid<D>(positions_, level_);
   tree_ = fmm::DynamicCellTree<D>(positions_, level_);
   ++repartitions_;
   // The partition and owner table depend only on (n, p) — unchanged.
-  build(pool);
+  build();
 }
 
 template <int D>
 template <class Sink>
 void DynamicAcd<D>::nfi_scan(Sink& acc,
                              const std::vector<ParticleMove<D>>& movers,
-                             bool retract, std::size_t lo, std::size_t hi) {
+                             bool retract) {
   const std::int32_t* cells = grid_.dense_cells();
   const std::int64_t r = opts_.radius;
   const bool cheb = opts_.norm == fmm::NeighborNorm::kChebyshev;
-  for (std::size_t k = lo; k < hi; ++k) {
+  for (std::size_t k = 0; k < movers.size(); ++k) {
     const std::uint32_t m = movers[k].index;
     const topo::Rank sm = owners_[m];
     const bool faulted = retract && opts_.fault_stale_subtraction && k == 0;
@@ -133,29 +112,14 @@ void DynamicAcd<D>::nfi_scan(Sink& acc,
 
 template <int D>
 void DynamicAcd<D>::nfi_phase(const std::vector<ParticleMove<D>>& movers,
-                              bool retract, util::ThreadPool* pool) {
-  if (!nfi_acc_.dense()) {
-    // Sparse mode: net the phase's events in the scratch (serially —
-    // PairDeltas is single-writer; the scan is a small share of a sparse
-    // step) instead of staging every raw event for a compaction sort.
-    nfi_scan(nfi_deltas_, movers, retract, 0, movers.size());
-    return;
+                              bool retract) {
+  if (nfi_acc_.dense()) {
+    nfi_scan(nfi_acc_, movers, retract);
+  } else {
+    // Sparse mode: net the phase's events in the scratch instead of
+    // staging every raw event for a compaction sort.
+    nfi_scan(nfi_deltas_, movers, retract);
   }
-  if (pool == nullptr || pool->size() <= 1 ||
-      movers.size() < kParallelMoverCutoff) {
-    nfi_scan(nfi_acc_, movers, retract, 0, movers.size());
-    return;
-  }
-  // Shards hold the phase's deltas (retractions wrap modularly); the
-  // merge nets them into the live histogram. Counts commute, so the
-  // result is independent of scheduling — serial == threaded.
-  RankPairShards shards(procs_, pool->size());
-  util::parallel_for_chunks(*pool, 0, movers.size(), util::kAutoGrain,
-                            [&](std::size_t lo, std::size_t hi) {
-                              nfi_scan(shards.local(), movers, retract, lo,
-                                       hi);
-                            });
-  shards.merge_into(nfi_acc_);
 }
 
 template <int D>
@@ -330,8 +294,7 @@ void DynamicAcd<D>::track_displacement(std::uint32_t index,
 }
 
 template <int D>
-void DynamicAcd<D>::move_particles(std::span<const ParticleMove<D>> moves,
-                                   util::ThreadPool* pool) {
+void DynamicAcd<D>::move_particles(std::span<const ParticleMove<D>> moves) {
   const std::size_t n = positions_.size();
 
   // Validate and keep the effective movers (position actually changes).
@@ -379,7 +342,7 @@ void DynamicAcd<D>::move_particles(std::span<const ParticleMove<D>> moves,
   for (const ParticleMove<D>& mv : movers) mover_flag_[mv.index] = 1;
 
   // Retract against the pre-move state.
-  nfi_phase(movers, /*retract=*/true, pool);
+  nfi_phase(movers, /*retract=*/true);
   const auto touched = touched_cells(movers);
   if (touched_bits_.empty()) {
     touched_bits_.resize(level_ + 1);
@@ -419,7 +382,7 @@ void DynamicAcd<D>::move_particles(std::span<const ParticleMove<D>> moves,
   moves_applied_ += movers.size();
 
   // Assert against the post-move state.
-  nfi_phase(movers, /*retract=*/false, pool);
+  nfi_phase(movers, /*retract=*/false);
   ffi_diff(touched);
 
   // Net the batch's deltas into the live histograms (no-ops for the
@@ -439,7 +402,7 @@ void DynamicAcd<D>::move_particles(std::span<const ParticleMove<D>> moves,
 
   if (static_cast<double>(displaced_count_) >
       opts_.repartition_threshold * static_cast<double>(n)) {
-    rebuild(pool);
+    rebuild();
   }
 }
 

@@ -79,8 +79,7 @@ class DynamicAcd {
   /// the engine; it re-keys particles on every move and re-sorts on
   /// re-partition.
   DynamicAcd(std::vector<Point<D>> particles, unsigned level,
-             const Curve<D>& curve, topo::Rank procs, Options opts = {},
-             util::ThreadPool* pool = nullptr);
+             const Curve<D>& curve, topo::Rank procs, Options opts = {});
 
   // The cell tree points into positions_; keep the engine in place.
   DynamicAcd(const DynamicAcd&) = delete;
@@ -92,8 +91,7 @@ class DynamicAcd {
   /// (swaps, chains), but never a stationary particle's cell. Throws
   /// std::invalid_argument on a violation, leaving the state unchanged.
   /// Moves whose target equals the current position are ignored.
-  void move_particles(std::span<const ParticleMove<D>> moves,
-                      util::ThreadPool* pool = nullptr);
+  void move_particles(std::span<const ParticleMove<D>> moves);
 
   /// Near-field totals of the current positions under the frozen
   /// assignment — bit-identical to AcdInstance-from-frozen-order nfi().
@@ -141,13 +139,12 @@ class DynamicAcd {
   std::uint64_t moves_applied() const noexcept { return moves_applied_; }
 
  private:
-  void build(util::ThreadPool* pool);
-  void rebuild(util::ThreadPool* pool);
-  void nfi_phase(const std::vector<ParticleMove<D>>& movers, bool retract,
-                 util::ThreadPool* pool);
-  template <class Sink>  // RankPairAccumulator, a shard, or PairDeltas
+  void build();
+  void rebuild();
+  void nfi_phase(const std::vector<ParticleMove<D>>& movers, bool retract);
+  template <class Sink>  // RankPairAccumulator or PairDeltas
   void nfi_scan(Sink& acc, const std::vector<ParticleMove<D>>& movers,
-                bool retract, std::size_t lo, std::size_t hi);
+                bool retract);
   std::vector<std::unordered_set<std::uint64_t>> touched_cells(
       const std::vector<ParticleMove<D>>& movers) const;
   void ffi_snapshot(
@@ -185,8 +182,7 @@ class DynamicAcd {
   // buffers — and their compaction sorts — off the incremental hot path,
   // and lets a retract/assert pair with unchanged owners vanish without
   // ever reaching the histogram. NFI uses its scratch only in sparse
-  // mode (dense adds are a single array update; the threaded dense path
-  // keeps its shards).
+  // mode (dense adds are a single array update).
   PairDeltas nfi_deltas_;
   PairDeltas ffi_interp_deltas_;
   PairDeltas ffi_inter_deltas_;

@@ -28,7 +28,6 @@
 #include "core/totals.hpp"
 #include "topology/distance_table.hpp"
 #include "topology/topology.hpp"
-#include "util/thread_pool.hpp"
 
 namespace sfc::core {
 
@@ -267,45 +266,6 @@ class PairDeltas {
   std::vector<std::uint64_t> deltas_;  // modular net counts
   std::size_t used_ = 0;
   std::size_t mask_ = 0;
-};
-
-/// Per-worker shard histograms for lock-free parallel accumulation.
-///
-/// The enumerate kernels fan out over cell/particle chunks; instead of
-/// building a fresh accumulator per chunk and merging under a mutex (a
-/// p²-sized zero + merge per chunk), each chunk records into the shard of
-/// the worker executing it, and the shards merge into the target exactly
-/// once after all fan-outs finish. Counts commute, so the merged multiset
-/// — and in dense mode the byte-for-byte array — is independent of
-/// scheduling and chunk boundaries.
-class RankPairShards {
- public:
-  /// One shard per pool worker plus one for the calling thread (the
-  /// serial fallback and below-cutoff ranges land there).
-  RankPairShards(topo::Rank procs, unsigned workers) {
-    shards_.reserve(static_cast<std::size_t>(workers) + 1);
-    for (unsigned i = 0; i <= workers; ++i) shards_.emplace_back(procs);
-  }
-
-  /// The shard owned by the executing thread: workers of the pool the
-  /// kernel fans out on get distinct slots; any other caller (the
-  /// coordinator, a foreign pool's worker running the serial fallback)
-  /// gets the last slot. Within one fan-out the executors are either
-  /// this pool's workers or the single calling thread, never both, so no
-  /// two threads share a slot concurrently.
-  RankPairAccumulator& local() noexcept {
-    const unsigned idx = util::ThreadPool::current_worker_index();
-    const std::size_t last = shards_.size() - 1;
-    return shards_[idx < last ? idx : last];
-  }
-
-  /// Merge every shard into `acc`, in fixed slot order.
-  void merge_into(RankPairAccumulator& acc) const {
-    for (const RankPairAccumulator& s : shards_) acc += s;
-  }
-
- private:
-  std::vector<RankPairAccumulator> shards_;
 };
 
 }  // namespace sfc::core

@@ -551,7 +551,7 @@ void execute(std::deque<PlanNode>& nodes, Executor& exec,
   // completions count consumers down to zero, and a live scan would
   // submit those twice.
   for (PlanNode* n : roots) pool->submit([task, n] { task(*n); });
-  done.wait_and_help(util::can_help(*pool) ? pool : nullptr);
+  done.wait_and_help(*pool);
 }
 
 /// The artifact-reusing engine path: plan the whole study as a task
@@ -901,14 +901,14 @@ StudyResult run_reuse(const Study& s, const SweepOptions& o) {
 }
 
 /// The from-scratch path: the legacy per-cell pipeline in the same grid
-/// order — the equivalence oracle and the speedup baseline.
+/// order, serial on the calling thread — the equivalence oracle and the
+/// speedup baseline.
 StudyResult run_direct(const Study& s, const SweepOptions& o) {
   StudyResult result;
   result.study = s;
   result.cells.assign(s.cell_count(), AcdCell{});
   result.stats.assign(s.cell_count(), AcdCellStats{});
 
-  util::ThreadPool* pool = o.pool;
   const double trials = s.trials;
   const std::size_t nrc = s.processor_order_count();
 
@@ -939,13 +939,12 @@ StudyResult run_direct(const Study& s, const SweepOptions& o) {
               const std::size_t index = result.index(d, pc, pi, rc, ti);
               if (s.near_field) {
                 const double acd =
-                    instance.nfi(part, *net, s.radius, s.norm, pool).acd();
+                    instance.nfi(part, *net, s.radius, s.norm).acd();
                 result.cells[index].nfi_acd += acd / trials;
                 result.stats[index].nfi.add(acd);
               }
               if (s.far_field) {
-                const double acd =
-                    instance.ffi(part, *net, pool).total().acd();
+                const double acd = instance.ffi(part, *net).total().acd();
                 result.cells[index].ffi_acd += acd / trials;
                 result.stats[index].ffi.add(acd);
               }
@@ -992,8 +991,7 @@ StudyResult run_study(const Study& study, const SweepOptions& options) {
 
 // ----------------------------------------------------------------- dynamics
 
-DynamicsResult run_dynamics(const DynamicsStudy& study,
-                            util::ThreadPool* pool) {
+DynamicsResult run_dynamics(const DynamicsStudy& study) {
   DynamicsResult result;
   result.study = study;
   result.steps.reserve(study.steps);
@@ -1019,10 +1017,8 @@ DynamicsResult run_dynamics(const DynamicsStudy& study,
   // The frozen engine never re-partitions, so its particles() stay in the
   // order its constructor sorted them into: the index space every step's
   // moves are drawn in.
-  DynamicAcd<2> frozen(sample, study.level, *curve, study.procs, frozen_opts,
-                       pool);
-  DynamicAcd<2> lazy(sample, study.level, *curve, study.procs, lazy_opts,
-                     pool);
+  DynamicAcd<2> frozen(sample, study.level, *curve, study.procs, frozen_opts);
+  DynamicAcd<2> lazy(sample, study.level, *curve, study.procs, lazy_opts);
 
   for (unsigned s = 0; s < study.steps; ++s) {
     const std::vector<ParticleMove2> moves = drift_moves<2>(
@@ -1036,8 +1032,8 @@ DynamicsResult run_dynamics(const DynamicsStudy& study,
       const std::int32_t idx = lazy.index_at(frozen.particles()[mv.index]);
       lazy_moves.push_back({static_cast<std::uint32_t>(idx), mv.to});
     }
-    frozen.move_particles(moves, pool);
-    lazy.move_particles(lazy_moves, pool);
+    frozen.move_particles(moves);
+    lazy.move_particles(lazy_moves);
 
     DynamicsStepResult& r = result.steps.emplace_back();
     r.moves = moves.size();
@@ -1052,8 +1048,8 @@ DynamicsResult run_dynamics(const DynamicsStudy& study,
     // post-move configuration.
     const AcdInstance<2> inst(frozen.particles(), study.level, *curve);
     const fmm::Partition part(study.particles, study.procs);
-    r.reorder_nfi = inst.nfi(part, *net, study.radius, study.norm, pool);
-    r.reorder_ffi = inst.ffi(part, *net, pool);
+    r.reorder_nfi = inst.nfi(part, *net, study.radius, study.norm);
+    r.reorder_ffi = inst.ffi(part, *net);
   }
   return result;
 }

@@ -40,6 +40,7 @@
 
 #include "core/acd.hpp"
 #include "util/stats.hpp"
+#include "util/thread_pool.hpp"
 
 namespace sfc::core {
 
@@ -200,7 +201,7 @@ class ArtifactStore;
 struct SweepOptions {
   /// Parallelism, one level of it. With reuse the pool runs plan nodes,
   /// and a node's kernels run on the thread that runs the node; without
-  /// reuse it runs the per-cell kernels.
+  /// reuse the pool is unused and every cell runs on the calling thread.
   util::ThreadPool* pool = nullptr;
   /// false = evaluate every cell from scratch (no artifact reuse): the
   /// legacy per-cell pipeline, kept as the equivalence oracle and the
@@ -309,10 +310,9 @@ struct DynamicsResult {
   std::vector<DynamicsStepResult> steps;
 };
 
-/// Evolve one dynamics trajectory. Deterministic in the study parameters
-/// with or without `pool`. Invalid parameters (e.g. a torus size that is
-/// not a power of 4) surface as std::invalid_argument.
-DynamicsResult run_dynamics(const DynamicsStudy& study,
-                            util::ThreadPool* pool = nullptr);
+/// Evolve one dynamics trajectory, serially on the calling thread.
+/// Deterministic in the study parameters. Invalid parameters (e.g. a
+/// torus size that is not a power of 4) surface as std::invalid_argument.
+DynamicsResult run_dynamics(const DynamicsStudy& study);
 
 }  // namespace sfc::core

@@ -86,39 +86,33 @@ std::size_t CellTree<D>::total_cells() const noexcept {
 
 namespace {
 
-/// Interpolation hops for cells [lo, hi) of level `l` (l >= 1): each cell
-/// owner sends to its parent's owner. Reference path — one virtual
-/// distance() per edge.
+/// Interpolation hops of level `l` (l >= 1): each cell owner sends to
+/// its parent's owner. Reference path — one virtual distance() per edge.
 template <int D>
-core::CommTotals interp_range(const CellTree<D>& tree, const Partition& part,
-                              const topo::Topology& net, unsigned l,
-                              std::size_t lo, std::size_t hi) {
+core::CommTotals interp_level(const CellTree<D>& tree, const Partition& part,
+                              const topo::Topology& net, unsigned l) {
   core::CommTotals totals;
-  const auto& cells = tree.cells(l);
-  for (std::size_t i = lo; i < hi; ++i) {
-    const auto idx = tree.find(l - 1, parent_key<D>(cells[i].key));
+  for (const auto& cell : tree.cells(l)) {
+    const auto idx = tree.find(l - 1, parent_key<D>(cell.key));
     // The parent of an occupied cell is always occupied.
     const auto& parent = tree.cells(l - 1)[static_cast<std::size_t>(idx)];
-    totals.hops += net.distance(part.proc_of(cells[i].min_particle),
+    totals.hops += net.distance(part.proc_of(cell.min_particle),
                                 part.proc_of(parent.min_particle));
     ++totals.count;
   }
   return totals;
 }
 
-/// Interaction-list hops for cells [lo, hi) of level `l` (l >= 2).
-/// Reference path.
+/// Interaction-list hops of level `l` (l >= 2). Reference path.
 template <int D>
-core::CommTotals il_range(const CellTree<D>& tree, const Partition& part,
-                          const topo::Topology& net, unsigned l,
-                          std::size_t lo, std::size_t hi) {
+core::CommTotals il_level(const CellTree<D>& tree, const Partition& part,
+                          const topo::Topology& net, unsigned l) {
   core::CommTotals totals;
-  const auto& cells = tree.cells(l);
   std::vector<Point<D>> il;
   il.reserve(64);
-  for (std::size_t i = lo; i < hi; ++i) {
-    const Point<D> c = morton_point<D>(cells[i].key);
-    const topo::Rank owner = part.proc_of(cells[i].min_particle);
+  for (const auto& cell : tree.cells(l)) {
+    const Point<D> c = morton_point<D>(cell.key);
+    const topo::Rank owner = part.proc_of(cell.min_particle);
     interaction_list(c, l, il);
     for (const Point<D>& d : il) {
       const auto idx = tree.find(l, cell_key(d));
@@ -132,36 +126,31 @@ core::CommTotals il_range(const CellTree<D>& tree, const Partition& part,
 }
 
 /// Histogram the (child owner, parent owner) interpolation pairs of
-/// cells [lo, hi) at level `l` into `acc`.
+/// level `l` into `acc`.
 template <int D>
-void interp_range_into(const CellTree<D>& tree, const topo::Rank* own,
-                       core::RankPairAccumulator& acc, unsigned l,
-                       std::size_t lo, std::size_t hi) {
-  if (lo >= hi) return;
-  const auto& cells = tree.cells(l);
+void interp_level_into(const CellTree<D>& tree, const topo::Rank* own,
+                       core::RankPairAccumulator& acc, unsigned l) {
   const auto& parents = tree.cells(l - 1);
   // Cells are key-sorted and parent_key is a shift, so parent keys are
-  // non-decreasing across the range: one lookup seeds a cursor into the
-  // parent level and the rest of the range advances it in lockstep —
-  // no per-cell table lookup. (The parent of an occupied cell is always
-  // occupied, so the cursor always lands on a match.)
-  std::size_t j = static_cast<std::size_t>(
-      tree.find(l - 1, parent_key<D>(cells[lo].key)));
-  for (std::size_t i = lo; i < hi; ++i) {
-    const std::uint64_t pk = parent_key<D>(cells[i].key);
+  // non-decreasing across the level: a cursor into the parent level
+  // advances in lockstep — no per-cell table lookup. (The parent of an
+  // occupied cell is always occupied, so the cursor always lands on a
+  // match.)
+  std::size_t j = 0;
+  for (const auto& cell : tree.cells(l)) {
+    const std::uint64_t pk = parent_key<D>(cell.key);
     while (parents[j].key != pk) ++j;
-    acc.add(own[cells[i].min_particle], own[parents[j].min_particle]);
+    acc.add(own[cell.min_particle], own[parents[j].min_particle]);
   }
 }
 
 /// Histogram the (source owner, cell owner) interaction-list pairs of
-/// cells [lo, hi) at level `l` into `acc`. The candidate cells stream
-/// straight from the offset odometer into the key lookup — no
-/// materialized interaction list, no per-cell allocation.
+/// level `l` into `acc`. The candidate cells stream straight from the
+/// offset odometer into the key lookup — no materialized interaction
+/// list, no per-cell allocation.
 template <int D>
-void il_range_into(const CellTree<D>& tree, const topo::Rank* own,
-                   core::RankPairAccumulator& acc, unsigned l, std::size_t lo,
-                   std::size_t hi) {
+void il_level_into(const CellTree<D>& tree, const topo::Rank* own,
+                   core::RankPairAccumulator& acc, unsigned l) {
   const auto& cells = tree.cells(l);
   // Dense-mode fast path: hoist the count-array base so each event is a
   // single indexed increment (row(0) is the array base; src varies per
@@ -176,10 +165,10 @@ void il_range_into(const CellTree<D>& tree, const topo::Rank* own,
   for (std::uint32_t d = 0; d < (1u << D); ++d) {
     child_off[d] = morton_point<D>(d);
   }
-  for (std::size_t i = lo; i < hi; ++i) {
-    const Point<D> c = morton_point<D>(cells[i].key);
+  for (const auto& cell : cells) {
+    const Point<D> c = morton_point<D>(cell.key);
     const Point<D> par = parent_cell(c);
-    const topo::Rank owner = own[cells[i].min_particle];
+    const topo::Rank owner = own[cell.min_particle];
     // Odometer over the parent's neighbors. Two prunes the reference
     // path skips, neither of which changes the event multiset: the zero
     // offset (the cell's own siblings, all Chebyshev-adjacent) and the
@@ -228,90 +217,33 @@ void il_range_into(const CellTree<D>& tree, const topo::Rank* own,
   }
 }
 
-/// Accumulate one communication family's histogram over all levels
-/// [first_level, finest]. Serial path: every level goes straight into
-/// `acc` — one accumulator for the whole family, folded once by the
-/// caller (building and folding a fresh accumulator per chunk per level
-/// is what used to cancel the aggregation savings). Parallel path:
-/// per-worker shards written without synchronization — each chunk
-/// records into the shard of the worker executing it, across all levels
-/// — then merged into `acc` exactly once. Counts are integers and
-/// addition commutes, so the merged multiset is independent of chunking
-/// and scheduling order.
-template <int D, typename IntoFn>
-void histogram_levels(util::ThreadPool* pool, const CellTree<D>& tree,
-                      unsigned first_level, topo::Rank procs,
-                      core::RankPairAccumulator& acc, IntoFn into) {
-  const unsigned finest = tree.finest_level();
-  if (pool == nullptr || pool->size() <= 1) {
-    for (unsigned l = first_level; l <= finest; ++l) {
-      into(acc, l, std::size_t{0}, tree.cells(l).size());
-    }
-    return;
-  }
-  core::RankPairShards shards(procs, pool->size());
-  for (unsigned l = first_level; l <= finest; ++l) {
-    const std::size_t n = tree.cells(l).size();
-    if (n < 4096) {
-      // Below the fan-out cutoff the calling thread fills its own shard
-      // while no chunks are in flight.
-      into(shards.local(), l, std::size_t{0}, n);
-      continue;
-    }
-    util::parallel_for_chunks(*pool, 0, n, util::kAutoGrain,
-                              [&, l](std::size_t lo, std::size_t hi) {
-                                into(shards.local(), l, lo, hi);
-                              });
-  }
-  {
-    const obs::Span span("ffi/merge_shards");
-    shards.merge_into(acc);
-  }
-}
-
-template <int D, typename RangeFn>
-core::CommTotals reduce_level(util::ThreadPool* pool, std::size_t n,
-                              RangeFn fn) {
-  if (pool == nullptr || pool->size() <= 1 || n < 4096) {
-    return fn(std::size_t{0}, n);
-  }
-  return util::parallel_reduce_chunks(*pool, 0, n, util::kAutoGrain,
-                                      core::CommTotals{}, fn);
-}
-
 }  // namespace
 
 template <int D>
 FfiTotals ffi_totals(const CellTree<D>& tree, const Partition& part,
-                     const topo::Topology& net, util::ThreadPool* pool) {
-  // One histogram per family accumulated across every level and chunk,
-  // one fold per family: the fold and accumulator-construction costs are
-  // O(pairs) per evaluation instead of O(pairs · levels · chunks) — the
-  // overhead that used to hold the aggregated/direct ratio at ~1.1x.
-  return ffi_fold(ffi_histograms<D>(tree, part, pool), net);
+                     const topo::Topology& net) {
+  // One histogram per family accumulated across every level, one fold
+  // per family: the fold and accumulator-construction costs are O(pairs)
+  // per evaluation instead of O(pairs · levels).
+  return ffi_fold(ffi_histograms<D>(tree, part), net);
 }
 
 template <int D>
-FfiHistograms ffi_histograms(const CellTree<D>& tree, const Partition& part,
-                             util::ThreadPool* pool) {
+FfiHistograms ffi_histograms(const CellTree<D>& tree, const Partition& part) {
   const std::vector<topo::Rank> owners = part.owner_table();
   const topo::Rank* own = owners.data();
   FfiHistograms h(part.processors());
   {
     const obs::Span span("ffi/interpolation");
-    histogram_levels<D>(pool, tree, 1, part.processors(), h.interpolation,
-                        [&](core::RankPairAccumulator& acc, unsigned l,
-                            std::size_t lo, std::size_t hi) {
-                          interp_range_into<D>(tree, own, acc, l, lo, hi);
-                        });
+    for (unsigned l = 1; l <= tree.finest_level(); ++l) {
+      interp_level_into<D>(tree, own, h.interpolation, l);
+    }
   }
   {
     const obs::Span span("ffi/interaction");
-    histogram_levels<D>(pool, tree, 2, part.processors(), h.interaction,
-                        [&](core::RankPairAccumulator& acc, unsigned l,
-                            std::size_t lo, std::size_t hi) {
-                          il_range_into<D>(tree, own, acc, l, lo, hi);
-                        });
+    for (unsigned l = 2; l <= tree.finest_level(); ++l) {
+      il_level_into<D>(tree, own, h.interaction, l);
+    }
   }
   return h;
 }
@@ -326,22 +258,14 @@ FfiTotals ffi_fold(const FfiHistograms& hist, const topo::Topology& net) {
 
 template <int D>
 FfiTotals ffi_totals_direct(const CellTree<D>& tree, const Partition& part,
-                            const topo::Topology& net,
-                            util::ThreadPool* pool) {
+                            const topo::Topology& net) {
   FfiTotals totals;
   for (unsigned l = 1; l <= tree.finest_level(); ++l) {
-    totals.interpolation += reduce_level<D>(
-        pool, tree.cells(l).size(), [&, l](std::size_t lo, std::size_t hi) {
-          return interp_range<D>(tree, part, net, l, lo, hi);
-        });
+    totals.interpolation += interp_level<D>(tree, part, net, l);
   }
   totals.anterpolation = totals.interpolation;
-
   for (unsigned l = 2; l <= tree.finest_level(); ++l) {
-    totals.interaction += reduce_level<D>(
-        pool, tree.cells(l).size(), [&, l](std::size_t lo, std::size_t hi) {
-          return il_range<D>(tree, part, net, l, lo, hi);
-        });
+    totals.interaction += il_level<D>(tree, part, net, l);
   }
   return totals;
 }
@@ -349,18 +273,14 @@ FfiTotals ffi_totals_direct(const CellTree<D>& tree, const Partition& part,
 template class CellTree<2>;
 template class CellTree<3>;
 template FfiTotals ffi_totals<2>(const CellTree<2>&, const Partition&,
-                                 const topo::Topology&, util::ThreadPool*);
+                                 const topo::Topology&);
 template FfiTotals ffi_totals<3>(const CellTree<3>&, const Partition&,
-                                 const topo::Topology&, util::ThreadPool*);
+                                 const topo::Topology&);
 template FfiTotals ffi_totals_direct<2>(const CellTree<2>&, const Partition&,
-                                        const topo::Topology&,
-                                        util::ThreadPool*);
+                                        const topo::Topology&);
 template FfiTotals ffi_totals_direct<3>(const CellTree<3>&, const Partition&,
-                                        const topo::Topology&,
-                                        util::ThreadPool*);
-template FfiHistograms ffi_histograms<2>(const CellTree<2>&, const Partition&,
-                                         util::ThreadPool*);
-template FfiHistograms ffi_histograms<3>(const CellTree<3>&, const Partition&,
-                                         util::ThreadPool*);
+                                        const topo::Topology&);
+template FfiHistograms ffi_histograms<2>(const CellTree<2>&, const Partition&);
+template FfiHistograms ffi_histograms<3>(const CellTree<3>&, const Partition&);
 
 }  // namespace sfc::fmm

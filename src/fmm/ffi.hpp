@@ -24,7 +24,6 @@
 #include "fmm/partition.hpp"
 #include "sfc/point.hpp"
 #include "topology/topology.hpp"
-#include "util/thread_pool.hpp"
 
 namespace sfc::fmm {
 
@@ -93,21 +92,19 @@ struct FfiTotals {
   }
 };
 
-/// Evaluate the FFI model on a prepared cell tree. Hot path: each range
+/// Evaluate the FFI model on a prepared cell tree. Hot path: each level
 /// histograms its (src rank, dst rank) pairs (core/rank_pair.hpp) and
 /// hands the histograms to the topology's fold kernel — no per-edge
 /// distance dispatch. Bit-identical to ffi_totals_direct.
 template <int D>
 FfiTotals ffi_totals(const CellTree<D>& tree, const Partition& part,
-                     const topo::Topology& net,
-                     util::ThreadPool* pool = nullptr);
+                     const topo::Topology& net);
 
 /// Reference implementation with one virtual distance() call per
 /// communication; the equivalence tests pin ffi_totals to this path.
 template <int D>
 FfiTotals ffi_totals_direct(const CellTree<D>& tree, const Partition& part,
-                            const topo::Topology& net,
-                            util::ThreadPool* pool = nullptr);
+                            const topo::Topology& net);
 
 /// Topology-independent stage of ffi_totals: the rank-pair histograms of
 /// the two distinct FFI communication families. Anterpolation is the
@@ -153,10 +150,9 @@ inline std::optional<FfiHistograms> ffi_histograms_deserialize(
 /// caches one of these per (sample, particle order, p) and folds it
 /// against every topology / processor order that shares those inputs —
 /// ffi_fold(histograms, net) is bit-identical to ffi_totals over the
-/// same inputs. Deterministic with or without `pool`.
+/// same inputs.
 template <int D>
-FfiHistograms ffi_histograms(const CellTree<D>& tree, const Partition& part,
-                             util::ThreadPool* pool = nullptr);
+FfiHistograms ffi_histograms(const CellTree<D>& tree, const Partition& part);
 
 /// Fold prebuilt FFI histograms against a topology (cached hop table when
 /// p fits the table budget, per-pair distance() beyond it).
@@ -165,24 +161,18 @@ FfiTotals ffi_fold(const FfiHistograms& hist, const topo::Topology& net);
 extern template class CellTree<2>;
 extern template class CellTree<3>;
 extern template FfiTotals ffi_totals<2>(const CellTree<2>&, const Partition&,
-                                        const topo::Topology&,
-                                        util::ThreadPool*);
+                                        const topo::Topology&);
 extern template FfiTotals ffi_totals<3>(const CellTree<3>&, const Partition&,
-                                        const topo::Topology&,
-                                        util::ThreadPool*);
+                                        const topo::Topology&);
 extern template FfiTotals ffi_totals_direct<2>(const CellTree<2>&,
                                                const Partition&,
-                                               const topo::Topology&,
-                                               util::ThreadPool*);
+                                               const topo::Topology&);
 extern template FfiTotals ffi_totals_direct<3>(const CellTree<3>&,
                                                const Partition&,
-                                               const topo::Topology&,
-                                               util::ThreadPool*);
+                                               const topo::Topology&);
 extern template FfiHistograms ffi_histograms<2>(const CellTree<2>&,
-                                                const Partition&,
-                                                util::ThreadPool*);
+                                                const Partition&);
 extern template FfiHistograms ffi_histograms<3>(const CellTree<3>&,
-                                                const Partition&,
-                                                util::ThreadPool*);
+                                                const Partition&);
 
 }  // namespace sfc::fmm

@@ -10,24 +10,22 @@
 namespace sfc::fmm {
 namespace {
 
-/// Reference path: accumulate the near-field communications of particles
-/// [lo, hi) with one virtual distance() dispatch per event. Kept as the
+/// Reference path: accumulate the near-field communications of every
+/// particle with one virtual distance() dispatch per event. Kept as the
 /// oracle the aggregated path must bit-match (and for topologies/grids
 /// the fast kernel does not cover).
 template <int D>
-core::CommTotals nfi_range_direct(const std::vector<Point<D>>& particles,
-                                  const OccupancyGrid<D>& grid,
-                                  const Partition& part,
-                                  const topo::Topology& net, unsigned radius,
-                                  NeighborNorm norm, std::size_t lo,
-                                  std::size_t hi) {
+core::CommTotals nfi_direct(const std::vector<Point<D>>& particles,
+                            const OccupancyGrid<D>& grid,
+                            const Partition& part, const topo::Topology& net,
+                            unsigned radius, NeighborNorm norm) {
   core::CommTotals totals;
   const std::int64_t side = 1ll << grid.level();
   const std::int64_t r = radius;
 
   Point<D> q{};
   std::int64_t off[4] = {};  // D <= 4 (static_assert in Point)
-  for (std::size_t i = lo; i < hi; ++i) {
+  for (std::size_t i = 0; i < particles.size(); ++i) {
     const Point<D>& x = particles[i];
     const topo::Rank px = part.proc_of(i);
     // Odometer over the (2r+1)^D window around x.
@@ -82,9 +80,9 @@ inline void visit_neighbors(const OccupancyGrid<D>& grid,
 /// lexicographically-positive half of each window (rows above, plus the
 /// right half of the center row) and recording both events per occupied
 /// neighbor halves the probed cells. Each unordered pair is seen by
-/// exactly one of its endpoints regardless of chunk boundaries, so the
-/// chunked reduction still enumerates the exact event multiset of the
-/// reference path — and integer sums commute, so totals are bit-equal.
+/// exactly one of its endpoints, so the kernel still enumerates the exact
+/// event multiset of the reference path — and integer sums commute, so
+/// totals are bit-equal.
 template <typename Push>
 inline void halfwindow_dense2(const std::int32_t* cells, unsigned level,
                               const Point<2>& x, std::int64_t r,
@@ -116,18 +114,18 @@ inline void halfwindow_dense2(const std::int32_t* cells, unsigned level,
   }
 }
 
-/// The NFI enumeration kernel: histogram the near-field events of
-/// particles [lo, hi) into `acc` as (src rank, dst rank) → count entries,
+/// The NFI enumeration kernel: histogram the near-field events of every
+/// particle into `acc` as (src rank, dst rank) → count entries,
 /// with the source rank of particle i read from `owners[i]`. The emitted
 /// event multiset is a function of the particle positions and owners only
 /// (the half-window orientation is spatial, not positional), so any array
 /// order of the same particle/owner assignment gives the same histogram.
 template <int D>
-void nfi_range_into_owners(const std::vector<Point<D>>& particles,
-                           const OccupancyGrid<D>& grid,
-                           const std::vector<topo::Rank>& owners,
-                           core::RankPairAccumulator& acc, unsigned radius,
-                           NeighborNorm norm, std::size_t lo, std::size_t hi) {
+void nfi_into_owners(const std::vector<Point<D>>& particles,
+                     const OccupancyGrid<D>& grid,
+                     const std::vector<topo::Rank>& owners,
+                     core::RankPairAccumulator& acc, unsigned radius,
+                     NeighborNorm norm) {
   const std::int32_t* cells = grid.dense_cells();
   const std::int64_t r = radius;
   const topo::Rank* own = owners.data();
@@ -136,7 +134,7 @@ void nfi_range_into_owners(const std::vector<Point<D>>& particles,
     if (cells != nullptr) {
       const unsigned level = grid.level();
       // SIMD half-window compaction: one scratch buffer sized to the
-      // largest half-window, reused across every particle of the range.
+      // largest half-window, reused across every particle.
       // r == 1 windows hold at most 4 cells — too short to fill vector
       // lanes — so the per-cell scan stays.
       decltype(util::simd::kernels().nfi_halfwindow2) collect = nullptr;
@@ -161,7 +159,7 @@ void nfi_range_into_owners(const std::vector<Point<D>>& particles,
       // metric-property tests assert it), so the directed events
       // (src, dst) and (dst, src) of each half-window pair fold to the
       // same 2·d(src, dst) as a single count-2 entry on src's row.
-      for (std::size_t i = lo; i < hi; ++i) {
+      for (std::size_t i = 0; i < particles.size(); ++i) {
         const topo::Rank src = own[i];
         std::uint64_t* row = acc.row(src);
         if (row != nullptr) {
@@ -177,7 +175,7 @@ void nfi_range_into_owners(const std::vector<Point<D>>& particles,
       return;
     }
   }
-  for (std::size_t i = lo; i < hi; ++i) {
+  for (std::size_t i = 0; i < particles.size(); ++i) {
     const topo::Rank src = own[i];
     visit_neighbors<D>(grid, cells, particles[i], r, norm,
                        [&](std::size_t j) { acc.add(src, own[j]); });
@@ -190,26 +188,10 @@ template <int D>
 core::RankPairAccumulator nfi_histogram_owners(
     const std::vector<Point<D>>& particles, const OccupancyGrid<D>& grid,
     const std::vector<topo::Rank>& owners, topo::Rank procs, unsigned radius,
-    NeighborNorm norm, util::ThreadPool* pool) {
+    NeighborNorm norm) {
   const obs::Span span("nfi/enumerate");
   core::RankPairAccumulator acc(procs);
-  if (particles.empty()) return acc;
-  if (pool == nullptr || pool->size() <= 1) {
-    nfi_range_into_owners<D>(particles, grid, owners, acc, radius, norm, 0,
-                             particles.size());
-    return acc;
-  }
-  // Per-worker shards written without synchronization, merged once:
-  // counts are integers and addition commutes, so the merged multiset —
-  // and every fold of it — is identical regardless of scheduling order.
-  core::RankPairShards shards(procs, pool->size());
-  util::parallel_for_chunks(
-      *pool, 0, particles.size(), util::kAutoGrain,
-      [&](std::size_t lo, std::size_t hi) {
-        nfi_range_into_owners<D>(particles, grid, owners, shards.local(),
-                                 radius, norm, lo, hi);
-      });
-  shards.merge_into(acc);
+  nfi_into_owners<D>(particles, grid, owners, acc, radius, norm);
   return acc;
 }
 
@@ -217,20 +199,17 @@ template <int D>
 core::RankPairAccumulator nfi_histogram(const std::vector<Point<D>>& particles,
                                         const OccupancyGrid<D>& grid,
                                         const Partition& part, unsigned radius,
-                                        NeighborNorm norm,
-                                        util::ThreadPool* pool) {
+                                        NeighborNorm norm) {
   return nfi_histogram_owners<D>(particles, grid, part.owner_table(),
-                                 part.processors(), radius, norm, pool);
+                                 part.processors(), radius, norm);
 }
 
 template <int D>
 core::CommTotals nfi_totals(const std::vector<Point<D>>& particles,
                             const OccupancyGrid<D>& grid,
                             const Partition& part, const topo::Topology& net,
-                            unsigned radius, NeighborNorm norm,
-                            util::ThreadPool* pool) {
-  return net.fold(
-      nfi_histogram<D>(particles, grid, part, radius, norm, pool).view());
+                            unsigned radius, NeighborNorm norm) {
+  return net.fold(nfi_histogram<D>(particles, grid, part, radius, norm).view());
 }
 
 template <int D>
@@ -238,54 +217,41 @@ core::CommTotals nfi_totals_direct(const std::vector<Point<D>>& particles,
                                    const OccupancyGrid<D>& grid,
                                    const Partition& part,
                                    const topo::Topology& net, unsigned radius,
-                                   NeighborNorm norm, util::ThreadPool* pool) {
-  if (pool == nullptr || pool->size() <= 1) {
-    return nfi_range_direct<D>(particles, grid, part, net, radius, norm, 0,
-                               particles.size());
-  }
-  return util::parallel_reduce_chunks(
-      *pool, 0, particles.size(), util::kAutoGrain, core::CommTotals{},
-      [&](std::size_t lo, std::size_t hi) {
-        return nfi_range_direct<D>(particles, grid, part, net, radius, norm,
-                                   lo, hi);
-      });
+                                   NeighborNorm norm) {
+  return nfi_direct<D>(particles, grid, part, net, radius, norm);
 }
 
 template core::CommTotals nfi_totals<2>(const std::vector<Point<2>>&,
                                         const OccupancyGrid<2>&,
                                         const Partition&,
                                         const topo::Topology&, unsigned,
-                                        NeighborNorm, util::ThreadPool*);
+                                        NeighborNorm);
 template core::CommTotals nfi_totals<3>(const std::vector<Point<3>>&,
                                         const OccupancyGrid<3>&,
                                         const Partition&,
                                         const topo::Topology&, unsigned,
-                                        NeighborNorm, util::ThreadPool*);
+                                        NeighborNorm);
 template core::CommTotals nfi_totals_direct<2>(const std::vector<Point<2>>&,
                                                const OccupancyGrid<2>&,
                                                const Partition&,
                                                const topo::Topology&, unsigned,
-                                               NeighborNorm,
-                                               util::ThreadPool*);
+                                               NeighborNorm);
 template core::CommTotals nfi_totals_direct<3>(const std::vector<Point<3>>&,
                                                const OccupancyGrid<3>&,
                                                const Partition&,
                                                const topo::Topology&, unsigned,
-                                               NeighborNorm,
-                                               util::ThreadPool*);
+                                               NeighborNorm);
 template core::RankPairAccumulator nfi_histogram<2>(
     const std::vector<Point<2>>&, const OccupancyGrid<2>&, const Partition&,
-    unsigned, NeighborNorm, util::ThreadPool*);
+    unsigned, NeighborNorm);
 template core::RankPairAccumulator nfi_histogram<3>(
     const std::vector<Point<3>>&, const OccupancyGrid<3>&, const Partition&,
-    unsigned, NeighborNorm, util::ThreadPool*);
+    unsigned, NeighborNorm);
 template core::RankPairAccumulator nfi_histogram_owners<2>(
     const std::vector<Point<2>>&, const OccupancyGrid<2>&,
-    const std::vector<topo::Rank>&, topo::Rank, unsigned, NeighborNorm,
-    util::ThreadPool*);
+    const std::vector<topo::Rank>&, topo::Rank, unsigned, NeighborNorm);
 template core::RankPairAccumulator nfi_histogram_owners<3>(
     const std::vector<Point<3>>&, const OccupancyGrid<3>&,
-    const std::vector<topo::Rank>&, topo::Rank, unsigned, NeighborNorm,
-    util::ThreadPool*);
+    const std::vector<topo::Rank>&, topo::Rank, unsigned, NeighborNorm);
 
 }  // namespace sfc::fmm

@@ -16,7 +16,6 @@
 #include "fmm/partition.hpp"
 #include "sfc/point.hpp"
 #include "topology/topology.hpp"
-#include "util/thread_pool.hpp"
 
 namespace sfc::fmm {
 
@@ -27,7 +26,7 @@ enum class NeighborNorm {
 
 /// Sum/count of hop distances over all ordered near-field pairs.
 /// `particles` must be the SFC-sorted list that `grid` and `part` were
-/// built from. Runs on `pool` when provided (deterministic either way).
+/// built from.
 ///
 /// Exactly net.fold(nfi_histogram(...).view()): events are aggregated into
 /// a (src rank, dst rank) → count histogram (core/rank_pair.hpp) and
@@ -39,19 +38,16 @@ core::CommTotals nfi_totals(const std::vector<Point<D>>& particles,
                             const OccupancyGrid<D>& grid,
                             const Partition& part, const topo::Topology& net,
                             unsigned radius,
-                            NeighborNorm norm = NeighborNorm::kChebyshev,
-                            util::ThreadPool* pool = nullptr);
+                            NeighborNorm norm = NeighborNorm::kChebyshev);
 
 /// Topology-independent stage of nfi_totals: the (src rank, dst rank) →
 /// count histogram of the near-field events, i.e. nfi_histogram_owners
-/// with the owner table of `part`. Deterministic with or without `pool`
-/// (per-worker shards, merged once).
+/// with the owner table of `part`.
 template <int D>
 core::RankPairAccumulator nfi_histogram(
     const std::vector<Point<D>>& particles, const OccupancyGrid<D>& grid,
     const Partition& part, unsigned radius,
-    NeighborNorm norm = NeighborNorm::kChebyshev,
-    util::ThreadPool* pool = nullptr);
+    NeighborNorm norm = NeighborNorm::kChebyshev);
 
 /// The one NFI enumeration kernel, over particles in *arbitrary* array
 /// order: `owners[i]` names the rank holding particles[i] explicitly
@@ -68,8 +64,7 @@ template <int D>
 core::RankPairAccumulator nfi_histogram_owners(
     const std::vector<Point<D>>& particles, const OccupancyGrid<D>& grid,
     const std::vector<topo::Rank>& owners, topo::Rank procs, unsigned radius,
-    NeighborNorm norm = NeighborNorm::kChebyshev,
-    util::ThreadPool* pool = nullptr);
+    NeighborNorm norm = NeighborNorm::kChebyshev);
 
 /// Reference implementation: one virtual distance() dispatch per event.
 /// O(events) distance lookups instead of O(p²); the equivalence tests
@@ -78,40 +73,35 @@ template <int D>
 core::CommTotals nfi_totals_direct(
     const std::vector<Point<D>>& particles, const OccupancyGrid<D>& grid,
     const Partition& part, const topo::Topology& net, unsigned radius,
-    NeighborNorm norm = NeighborNorm::kChebyshev,
-    util::ThreadPool* pool = nullptr);
+    NeighborNorm norm = NeighborNorm::kChebyshev);
 
 extern template core::CommTotals nfi_totals<2>(const std::vector<Point<2>>&,
                                                const OccupancyGrid<2>&,
                                                const Partition&,
                                                const topo::Topology&, unsigned,
-                                               NeighborNorm,
-                                               util::ThreadPool*);
+                                               NeighborNorm);
 extern template core::CommTotals nfi_totals<3>(const std::vector<Point<3>>&,
                                                const OccupancyGrid<3>&,
                                                const Partition&,
                                                const topo::Topology&, unsigned,
-                                               NeighborNorm,
-                                               util::ThreadPool*);
+                                               NeighborNorm);
 extern template core::CommTotals nfi_totals_direct<2>(
     const std::vector<Point<2>>&, const OccupancyGrid<2>&, const Partition&,
-    const topo::Topology&, unsigned, NeighborNorm, util::ThreadPool*);
+    const topo::Topology&, unsigned, NeighborNorm);
 extern template core::CommTotals nfi_totals_direct<3>(
     const std::vector<Point<3>>&, const OccupancyGrid<3>&, const Partition&,
-    const topo::Topology&, unsigned, NeighborNorm, util::ThreadPool*);
+    const topo::Topology&, unsigned, NeighborNorm);
 extern template core::RankPairAccumulator nfi_histogram<2>(
     const std::vector<Point<2>>&, const OccupancyGrid<2>&, const Partition&,
-    unsigned, NeighborNorm, util::ThreadPool*);
+    unsigned, NeighborNorm);
 extern template core::RankPairAccumulator nfi_histogram<3>(
     const std::vector<Point<3>>&, const OccupancyGrid<3>&, const Partition&,
-    unsigned, NeighborNorm, util::ThreadPool*);
+    unsigned, NeighborNorm);
 extern template core::RankPairAccumulator nfi_histogram_owners<2>(
     const std::vector<Point<2>>&, const OccupancyGrid<2>&,
-    const std::vector<topo::Rank>&, topo::Rank, unsigned, NeighborNorm,
-    util::ThreadPool*);
+    const std::vector<topo::Rank>&, topo::Rank, unsigned, NeighborNorm);
 extern template core::RankPairAccumulator nfi_histogram_owners<3>(
     const std::vector<Point<3>>&, const OccupancyGrid<3>&,
-    const std::vector<topo::Rank>&, topo::Rank, unsigned, NeighborNorm,
-    util::ThreadPool*);
+    const std::vector<topo::Rank>&, topo::Rank, unsigned, NeighborNorm);
 
 }  // namespace sfc::fmm

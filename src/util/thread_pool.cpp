@@ -32,12 +32,13 @@ obs::Histogram& run_histogram() {
   return h;
 }
 
-/// Identity of the executing thread within its owning pool. Workers are
-/// created by exactly one pool and never migrate, so a plain
-/// thread_local set once in worker_loop is enough. The owning pool is
-/// recorded alongside so nested fan-outs can tell "worker of this pool"
-/// (safe to help) from "worker of another pool" (must block).
-thread_local unsigned t_worker_index = ThreadPool::kNotAWorker;
+/// Identity of the executing thread within its owning pool, for the
+/// per-worker busy metrics. Workers are created by exactly one pool and
+/// never migrate, so plain thread_locals set once in worker_loop are
+/// enough; the owning pool is recorded alongside so a worker helping a
+/// different pool's join is not counted as that pool's worker. The index
+/// is meaningful only while t_worker_pool is set.
+thread_local unsigned t_worker_index = 0;
 thread_local const ThreadPool* t_worker_pool = nullptr;
 
 }  // namespace
@@ -53,14 +54,6 @@ unsigned available_cpus() noexcept {
 #endif
   const unsigned n = std::thread::hardware_concurrency();
   return n > 0 ? n : 1;
-}
-
-unsigned ThreadPool::current_worker_index() noexcept {
-  return t_worker_index;
-}
-
-bool ThreadPool::current_thread_in_pool() const noexcept {
-  return t_worker_pool == this;
 }
 
 ThreadPool::ThreadPool(unsigned threads) {
@@ -126,12 +119,12 @@ void ThreadPool::run_task(Task&& task) {
       // Per-worker utilization counters only for actual pool workers; a
       // helping coordinator has no worker slot to attribute to. The
       // instruments are resolved once per worker thread and cached.
-      const unsigned index = t_worker_index;
-      if (index != kNotAWorker && t_worker_pool == this) {
+      if (t_worker_pool == this) {
         thread_local obs::Counter* busy_ns = nullptr;
         thread_local obs::Counter* tasks_run = nullptr;
         if (busy_ns == nullptr) {
-          const std::string worker = "pool.worker." + std::to_string(index);
+          const std::string worker =
+              "pool.worker." + std::to_string(t_worker_index);
           busy_ns = &obs::Registry::instance().counter(worker + ".busy_ns");
           tasks_run = &obs::Registry::instance().counter(worker + ".tasks");
         }
@@ -164,35 +157,6 @@ void ThreadPool::worker_loop(unsigned index) {
     }
     run_task(std::move(task));
   }
-}
-
-void parallel_for_chunks(ThreadPool& pool, std::size_t begin, std::size_t end,
-                         std::size_t grain,
-                         const std::function<void(std::size_t, std::size_t)>& body) {
-  const std::size_t n = end > begin ? end - begin : 0;
-  if (n == 0) return;
-  const std::size_t workers = pool.size();
-  grain = resolve_grain(grain, n, workers);
-  std::size_t chunks = workers == 0 ? 1 : workers * 4;
-  std::size_t chunk_size = (n + chunks - 1) / chunks;
-  if (chunk_size < grain) chunk_size = grain;
-  chunks = (n + chunk_size - 1) / chunk_size;
-
-  if (chunks <= 1 || workers <= 1) {
-    body(begin, end);
-    return;
-  }
-
-  Latch latch(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = begin + c * chunk_size;
-    const std::size_t hi = lo + chunk_size < end ? lo + chunk_size : end;
-    pool.submit([&, lo, hi] {
-      body(lo, hi);
-      latch.count_down();
-    });
-  }
-  latch.wait_and_help(can_help(pool) ? &pool : nullptr);
 }
 
 }  // namespace sfc::util

@@ -1,22 +1,16 @@
-// thread_pool.hpp — a small fixed-size worker pool with blocking fan-out
-// helpers. The ACD engine's inner loops (one network-distance lookup per
-// communication) are embarrassingly parallel over particles/cells, so the
-// primitives we need are parallel_for over an index range, a deterministic
-// parallel_reduce (integer sums commute, so the reduction is
-// bit-reproducible regardless of scheduling), and a completion Latch for
-// the sweep scheduler's task graph.
+// thread_pool.hpp — a small fixed-size worker pool with blocking joins.
+// The primitives are submit/wait_idle, a completion Latch for the sweep
+// scheduler's task graph, and a deterministic parallel_reduce (integer
+// sums commute, so the reduction is bit-reproducible regardless of
+// scheduling).
 //
-// One level of parallelism: the sweep engine runs whole pipeline stages
-// as pool tasks, and a stage's kernels run on the thread that runs the
-// stage; only coordinator-side callers (the direct path, AcdInstance,
-// DynamicAcd) hand the pool to a kernel. Nested fan-out stays safe all
-// the same: a join never sleeps when the calling thread may legally
-// execute queued tasks — it pops and runs tasks (try_run_one) until its
-// own chunks are done, so a fan-out from inside a task cannot strand its
-// chunks behind other tasks with every worker blocked. Helping is
-// restricted to workers of the *same* pool and to non-worker threads
-// (the coordinator): a worker of a different pool keeps the blocking
-// wait, so per-worker shard slots (RankPairShards) stay exclusive.
+// One level of parallelism: the pool runs plan nodes (the sweep engine's
+// pipeline stages) and the ANNS/clustering reductions, and nothing else;
+// every NFI, FFI and dynamics kernel runs serially on the thread that
+// calls it. A join never sleeps while the pool has queued work: it pops
+// and runs tasks (try_run_one) until its own count is done, so a fan-out
+// from inside a task cannot strand its chunks behind other tasks with
+// every worker blocked.
 //
 // Observability: when obs tracing or metrics are runtime-enabled, every
 // task is stamped at submit and the workers record queue-wait and run-time
@@ -62,26 +56,12 @@ class ThreadPool {
 
   /// Pop and run one queued task on the calling thread; false when the
   /// queue was empty. This is the work-helping primitive behind the
-  /// deadlock-free nested fan-outs: a thread waiting on a Latch makes
-  /// progress on whatever is queued instead of sleeping.
+  /// deadlock-free joins: a thread waiting on a Latch makes progress on
+  /// whatever is queued instead of sleeping.
   bool try_run_one();
-
-  /// Whether the calling thread is one of *this* pool's workers.
-  bool current_thread_in_pool() const noexcept;
 
   /// Process-wide shared pool (lazily constructed).
   static ThreadPool& global();
-
-  /// Sentinel returned by current_worker_index() off-pool.
-  static constexpr unsigned kNotAWorker = ~0u;
-
-  /// Index of the calling thread within the pool that spawned it
-  /// (0..size()-1), or kNotAWorker when the caller is not a pool worker
-  /// (e.g. the coordinating thread). Fan-out kernels use this to keep
-  /// per-worker shards without synchronization: each chunk writes only
-  /// the shard of the worker executing it, and the coordinator gets a
-  /// slot of its own (see RankPairShards).
-  static unsigned current_worker_index() noexcept;
 
  private:
   /// A queued task plus its submit timestamp (0 when obs is disabled —
@@ -134,21 +114,17 @@ class Latch {
   }
 
   /// Wait for the count to reach zero, running queued tasks from `pool`
-  /// while it has any (null pool = plain wait). The short timed sleep
-  /// between polls covers the window where the queue is momentarily
-  /// empty but running tasks are about to submit more — those submits
-  /// carry no latch signal, so an untimed wait could stall.
-  void wait_and_help(ThreadPool* pool) {
-    if (pool == nullptr) {
-      wait();
-      return;
-    }
+  /// while it has any. The short timed sleep between polls covers the
+  /// window where the queue is momentarily empty but running tasks are
+  /// about to submit more — those submits carry no latch signal, so an
+  /// untimed wait could stall.
+  void wait_and_help(ThreadPool& pool) {
     for (;;) {
       {
         std::unique_lock<std::mutex> lk(mutex_);
         if (remaining_ == 0) return;
       }
-      if (pool->try_run_one()) continue;
+      if (pool.try_run_one()) continue;
       std::unique_lock<std::mutex> lk(mutex_);
       if (remaining_ == 0) return;
       cv_.wait_for(lk, std::chrono::microseconds(200));
@@ -161,50 +137,19 @@ class Latch {
   std::size_t remaining_;
 };
 
-/// Grain sentinel: derive the minimum chunk size from the range length
-/// and worker count instead of hardcoding one at the call site.
-inline constexpr std::size_t kAutoGrain = 0;
-
-/// Auto-grain policy: aim for ~8 chunks per worker (load balance against
-/// skewed per-index cost) but never below a floor that keeps the
-/// submit/notify overhead amortized.
-inline std::size_t resolve_grain(std::size_t grain, std::size_t n,
-                                 std::size_t workers) noexcept {
-  if (grain != kAutoGrain) return grain;
-  constexpr std::size_t kGrainFloor = 256;
-  const std::size_t target = n / (workers * 8 + 1);
-  return target > kGrainFloor ? target : kGrainFloor;
-}
-
-/// Whether a join on `pool` may run queued tasks while waiting: yes for
-/// the pool's own workers and for non-worker threads (each gets a
-/// distinct shard slot in the fan-out kernels); no for workers of a
-/// *different* pool, whose worker index could collide with this pool's.
-inline bool can_help(const ThreadPool& pool) noexcept {
-  return pool.current_thread_in_pool() ||
-         ThreadPool::current_worker_index() == ThreadPool::kNotAWorker;
-}
-
-/// Split [begin, end) into roughly `pool.size() * 4` chunks (but at least
-/// `grain` indices each; kAutoGrain picks a size) and run
-/// `body(chunk_begin, chunk_end)` on the pool. Blocks until all chunks
-/// are done (helping with queued work while it waits, so nested calls
-/// from pool tasks are safe). Falls back to a direct call when the range
-/// is small or the pool has a single worker.
-void parallel_for_chunks(ThreadPool& pool, std::size_t begin, std::size_t end,
-                         std::size_t grain,
-                         const std::function<void(std::size_t, std::size_t)>& body);
-
-/// Deterministic sum-reduction over [begin, end): `body` returns the partial
-/// value for a chunk; partials are accumulated with operator+= in chunk
-/// order. T must be an additive monoid (we use integer/size pairs).
+/// Deterministic sum-reduction over [begin, end): split the range into
+/// roughly `pool.size() * 4` chunks of at least `grain` indices, run
+/// `body(chunk_begin, chunk_end)` for each on the pool and accumulate the
+/// partials with operator+= in chunk order. T must be an additive monoid
+/// (we use integer/size pairs). Blocks until every chunk is done, helping
+/// with queued work while it waits, so a call from a pool task is safe;
+/// runs directly when the range is one chunk or the pool has one worker.
 template <typename T, typename ChunkFn>
 T parallel_reduce_chunks(ThreadPool& pool, std::size_t begin, std::size_t end,
                          std::size_t grain, T init, ChunkFn body) {
   const std::size_t n = end - begin;
   if (n == 0) return init;
   const std::size_t workers = pool.size();
-  grain = resolve_grain(grain, n, workers);
   std::size_t chunks = workers == 0 ? 1 : workers * 4;
   std::size_t chunk_size = (n + chunks - 1) / chunks;
   if (chunk_size < grain) chunk_size = grain;
@@ -226,7 +171,7 @@ T parallel_reduce_chunks(ThreadPool& pool, std::size_t begin, std::size_t end,
       latch.count_down();
     });
   }
-  latch.wait_and_help(can_help(pool) ? &pool : nullptr);
+  latch.wait_and_help(pool);
   T acc = init;
   for (auto& p : partials) acc += p;
   return acc;

@@ -4,8 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/thread_pool.hpp"
-
 namespace sfc::core {
 namespace {
 
@@ -28,14 +26,6 @@ TEST(AcdPipeline, DeterministicAcrossRuns) {
   const auto b = compute_acd<2>(base_scenario());
   EXPECT_EQ(a.nfi, b.nfi);
   EXPECT_EQ(a.ffi.total(), b.ffi.total());
-}
-
-TEST(AcdPipeline, ParallelMatchesSerial) {
-  util::ThreadPool pool(4);
-  const auto serial = compute_acd<2>(base_scenario(), nullptr);
-  const auto parallel = compute_acd<2>(base_scenario(), &pool);
-  EXPECT_EQ(serial.nfi, parallel.nfi);
-  EXPECT_EQ(serial.ffi.total(), parallel.ffi.total());
 }
 
 TEST(AcdPipeline, SingleProcessorHasZeroAcd) {

@@ -348,6 +348,9 @@ TEST(SweepEngine, PooledRunRunsOnePoolTaskPerBuiltPlanNode) {
   SweepOptions options;
   options.pool = &pool;
   const StudyResult run = run_study(s, options);
+  // A worker records a task's run time after the task body returns, so
+  // the last node's sample can land just after run_study's join.
+  pool.wait_idle();
   const std::uint64_t tasks = run_ns.count();
   registry.set_enabled(false);
 
@@ -365,6 +368,37 @@ TEST(SweepEngine, PooledRunRunsOnePoolTaskPerBuiltPlanNode) {
   // NFI and an FFI histogram, and a fold.
   EXPECT_EQ(nodes, 12u);
   EXPECT_EQ(tasks, nodes);
+}
+
+TEST(SweepEngine, DirectRunSubmitsNoPoolTasks) {
+  // Without reuse there are no plan nodes, so the pool has nothing to
+  // run: every NFI and FFI kernel runs serially on the calling thread.
+  Study s = toy_topology_study();
+  s.particles = 4000;
+  s.level = 7;
+  s.topologies = {topo::TopologyKind::kTorus};
+  s.proc_counts = {1024};
+
+  obs::Registry& registry = obs::Registry::instance();
+  obs::Histogram& run_ns = registry.histogram("pool.run_ns");
+  registry.set_enabled(true);
+  run_ns.reset();
+  util::ThreadPool pool(4);
+  SweepOptions options;
+  options.reuse = false;
+  options.pool = &pool;
+  const StudyResult pooled = run_study(s, options);
+  const std::uint64_t tasks = run_ns.count();
+  registry.set_enabled(false);
+
+  EXPECT_EQ(tasks, 0u);
+  options.pool = nullptr;
+  const StudyResult serial = run_study(s, options);
+  ASSERT_EQ(pooled.cells.size(), serial.cells.size());
+  for (std::size_t i = 0; i < serial.cells.size(); ++i) {
+    EXPECT_EQ(pooled.cells[i].nfi_acd, serial.cells[i].nfi_acd) << i;
+    EXPECT_EQ(pooled.cells[i].ffi_acd, serial.cells[i].ffi_acd) << i;
+  }
 }
 
 TEST(SweepEngine, InvalidTorusSizeThrows) {

@@ -9,7 +9,6 @@
 
 #include "fmm/cells.hpp"
 #include "topology/linear.hpp"
-#include "util/thread_pool.hpp"
 
 namespace sfc::fmm {
 namespace {
@@ -160,31 +159,6 @@ TEST(Ffi, SingleParticleOnlyAccumulates) {
   EXPECT_EQ(totals.interpolation.count, 3u);  // one chain to the root
   EXPECT_EQ(totals.interpolation.hops, 0u);
   EXPECT_EQ(totals.interaction.count, 0u);
-}
-
-TEST(Ffi, ParallelMatchesSerialExactly) {
-  std::vector<Point2> particles;
-  for (std::uint32_t i = 0; i < 3000; ++i) {
-    particles.push_back(
-        make_point((i * 37 + 11) % 128, (i * 101 + i / 7) % 128));
-  }
-  std::sort(particles.begin(), particles.end(),
-            [](const Point2& a, const Point2& b) {
-              return pack(a, 7) < pack(b, 7);
-            });
-  particles.erase(std::unique(particles.begin(), particles.end()),
-                  particles.end());
-  const CellTree<2> tree(particles, 7);
-  const Partition part(particles.size(), 16);
-  const topo::RingTopology ring(16);
-
-  const auto serial = ffi_totals<2>(tree, part, ring, nullptr);
-  util::ThreadPool pool(4);
-  const auto parallel = ffi_totals<2>(tree, part, ring, &pool);
-  EXPECT_EQ(serial.interpolation, parallel.interpolation);
-  EXPECT_EQ(serial.anterpolation, parallel.anterpolation);
-  EXPECT_EQ(serial.interaction, parallel.interaction);
-  EXPECT_GT(serial.interaction.count, 0u);
 }
 
 TEST(Ffi, ThreeDimensionalOppositeCorners) {

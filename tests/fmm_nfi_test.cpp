@@ -9,7 +9,6 @@
 
 #include "topology/linear.hpp"
 #include "util/simd.hpp"
-#include "util/thread_pool.hpp"
 
 namespace sfc::fmm {
 namespace {
@@ -85,34 +84,6 @@ TEST(Nfi, EmptyParticleSet) {
   EXPECT_EQ(totals.hops, 0u);
 }
 
-TEST(Nfi, ParallelMatchesSerialExactly) {
-  // 400 particles in a 32x32 grid, radius 2: integer totals must be
-  // identical no matter how the reduction is chunked.
-  std::vector<Point2> particles;
-  for (std::uint32_t i = 0; i < 400; ++i) {
-    particles.push_back(make_point((i * 7) % 32, (i * 13 + i / 31) % 32));
-  }
-  // Deduplicate cells (the model assumes distinct cells).
-  std::sort(particles.begin(), particles.end(),
-            [](const Point2& a, const Point2& b) {
-              return pack(a, 5) < pack(b, 5);
-            });
-  particles.erase(std::unique(particles.begin(), particles.end()),
-                  particles.end());
-
-  const OccupancyGrid<2> grid(particles, 5);
-  const Partition part(particles.size(), 8);
-  const topo::BusTopology bus(8);
-
-  const auto serial = nfi_totals<2>(particles, grid, part, bus, 2,
-                                    NeighborNorm::kChebyshev, nullptr);
-  util::ThreadPool pool(4);
-  const auto parallel = nfi_totals<2>(particles, grid, part, bus, 2,
-                                      NeighborNorm::kChebyshev, &pool);
-  EXPECT_EQ(serial, parallel);
-  EXPECT_GT(serial.count, 0u);
-}
-
 TEST(Nfi, ThreeDimensionalPair) {
   const std::vector<Point3> particles = {make_point(0, 0, 0),
                                          make_point(1, 1, 1)};
@@ -120,11 +91,11 @@ TEST(Nfi, ThreeDimensionalPair) {
   const Partition part(2, 2);
   const topo::BusTopology bus(2);
   const auto cheb = nfi_totals<3>(particles, grid, part, bus, 1,
-                                  NeighborNorm::kChebyshev, nullptr);
+                                  NeighborNorm::kChebyshev);
   EXPECT_EQ(cheb.count, 2u);
   EXPECT_EQ(cheb.hops, 2u);
   const auto manh = nfi_totals<3>(particles, grid, part, bus, 2,
-                                  NeighborNorm::kManhattan, nullptr);
+                                  NeighborNorm::kManhattan);
   EXPECT_EQ(manh.count, 0u);  // Manhattan distance is 3
 }
 
@@ -152,10 +123,10 @@ TEST(Nfi, SimdHalfWindowMatchesForcedScalar) {
     for (const NeighborNorm norm :
          {NeighborNorm::kChebyshev, NeighborNorm::kManhattan}) {
       const auto dispatched =
-          nfi_totals<2>(particles, grid, part, bus, radius, norm, nullptr);
+          nfi_totals<2>(particles, grid, part, bus, radius, norm);
       const util::simd::ScopedForceScalar force;
       const auto scalar =
-          nfi_totals<2>(particles, grid, part, bus, radius, norm, nullptr);
+          nfi_totals<2>(particles, grid, part, bus, radius, norm);
       EXPECT_EQ(dispatched, scalar)
           << "radius=" << radius << " norm="
           << (norm == NeighborNorm::kChebyshev ? "chebyshev" : "manhattan");

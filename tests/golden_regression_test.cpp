@@ -106,7 +106,7 @@ TEST(Golden, DynamicsTrajectorySixteenSteps) {
   s.seed = 777;
   s.move_fraction = 0.1;
   s.repartition_threshold = 0.02;
-  const DynamicsResult r = run_dynamics(s, {});
+  const DynamicsResult r = run_dynamics(s);
   ASSERT_EQ(r.steps.size(), 16u);
 
   const std::vector<std::size_t> moves = {120, 111, 113, 121, 123, 114,

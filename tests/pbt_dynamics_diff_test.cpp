@@ -24,7 +24,6 @@
 #include "testing/domain.hpp"
 #include "testing/gtest.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace sfc::pbt {
 namespace {
@@ -274,11 +273,6 @@ Gen<DynCase> dyn_case(topo::Rank max_procs) {
       }};
 }
 
-util::ThreadPool& shared_pool() {
-  static util::ThreadPool pool(4);
-  return pool;
-}
-
 std::string show(const core::CommTotals& t) {
   return "{hops=" + std::to_string(t.hops) +
          ", count=" + std::to_string(t.count) + "}";
@@ -314,10 +308,10 @@ template <int D>
 std::optional<std::string> run_against_oracle(
     core::DynamicAcd<D>& dyn, const topo::Topology& net, unsigned level,
     unsigned radius, fmm::NeighborNorm norm,
-    const std::vector<BatchSpec>& batches, util::ThreadPool* pool) {
+    const std::vector<BatchSpec>& batches) {
   for (std::size_t b = 0; b < batches.size(); ++b) {
     const auto moves = resolve_batch<D>(batches[b], dyn.particles(), level);
-    dyn.move_particles(moves, pool);
+    dyn.move_particles(moves);
     const oracle::FrozenTotals want = oracle::frozen_totals<D>(
         dyn.particles(), level, dyn.partition(), net, radius, norm);
     const std::string at = "batch " + std::to_string(b) + " (" +
@@ -344,7 +338,7 @@ TEST(DynamicsDiff, IncrementalMatchesFullRecomputeAfterEveryBatch) {
         opts.repartition_threshold = 2.0;  // frozen assignment throughout
         core::DynamicAcd<2> dyn(c.pts, c.level, *curve, c.topo.procs, opts);
         return run_against_oracle<2>(dyn, *net, c.level, c.radius, c.norm,
-                                     c.batches, nullptr);
+                                     c.batches);
       });
 }
 
@@ -363,41 +357,7 @@ TEST(DynamicsDiff, LazyRepartitionPreservesTotals) {
         opts.repartition_threshold = 0.0;
         core::DynamicAcd<2> dyn(c.pts, c.level, *curve, c.topo.procs, opts);
         return run_against_oracle<2>(dyn, *net, c.level, c.radius, c.norm,
-                                     c.batches, nullptr);
-      });
-}
-
-TEST(DynamicsDiff, ThreadedBatchesMatchSerialBitIdentically) {
-  SFCACD_PBT_CHECK_CFG(
-      dyn_case(32), CheckConfig{}.scaled(0.5),
-      [](const DynCase& c) -> std::optional<std::string> {
-        const auto curve = make_curve<2>(c.curve);
-        const auto net = c.topo.make();
-        core::DynamicAcd<2>::Options opts;
-        opts.radius = c.radius;
-        opts.norm = c.norm;
-        opts.repartition_threshold = 2.0;
-        core::DynamicAcd<2> serial(c.pts, c.level, *curve, c.topo.procs,
-                                   opts);
-        core::DynamicAcd<2> threaded(c.pts, c.level, *curve, c.topo.procs,
-                                     opts, &shared_pool());
-        for (std::size_t b = 0; b < c.batches.size(); ++b) {
-          const auto moves =
-              resolve_batch<2>(c.batches[b], serial.particles(), c.level);
-          serial.move_particles(moves, nullptr);
-          threaded.move_particles(moves, &shared_pool());
-          if (auto err = expect_totals(threaded.nfi(*net), serial.nfi(*net),
-                                       "batch " + std::to_string(b) +
-                                           " threaded NFI vs serial")) {
-            return err;
-          }
-          if (auto err = expect_ffi(threaded.ffi(*net), serial.ffi(*net),
-                                    "batch " + std::to_string(b) +
-                                        " threaded FFI vs serial")) {
-            return err;
-          }
-        }
-        return std::nullopt;
+                                     c.batches);
       });
 }
 
@@ -480,7 +440,7 @@ TEST(DynamicsDiff, ThreeDimensionalTrajectoriesMatchOracles) {
         opts.repartition_threshold = 2.0;
         core::DynamicAcd<3> dyn(c.pts, c.level, *curve, c.topo.procs, opts);
         return run_against_oracle<3>(dyn, *net, c.level, opts.radius,
-                                     opts.norm, c.batches, nullptr);
+                                     opts.norm, c.batches);
       });
 }
 

@@ -25,7 +25,6 @@
 #include "topology/hypercube.hpp"
 #include "topology/linear.hpp"
 #include "topology/tree.hpp"
-#include "util/thread_pool.hpp"
 
 namespace sfc {
 namespace {
@@ -239,18 +238,17 @@ std::vector<std::unique_ptr<topo::Topology>> all_topologies(
 void expect_models_match(const core::AcdInstance<2>& instance,
                          const fmm::Partition& part,
                          const topo::Topology& net, unsigned radius,
-                         fmm::NeighborNorm norm, util::ThreadPool* pool) {
+                         fmm::NeighborNorm norm) {
   const core::CommTotals nfi = fmm::nfi_totals<2>(
-      instance.particles(), instance.grid(), part, net, radius, norm, pool);
+      instance.particles(), instance.grid(), part, net, radius, norm);
   const core::CommTotals nfi_ref = fmm::nfi_totals_direct<2>(
-      instance.particles(), instance.grid(), part, net, radius, norm, pool);
+      instance.particles(), instance.grid(), part, net, radius, norm);
   EXPECT_EQ(nfi.hops, nfi_ref.hops) << net.name();
   EXPECT_EQ(nfi.count, nfi_ref.count) << net.name();
 
-  const fmm::FfiTotals ffi =
-      fmm::ffi_totals<2>(instance.tree(), part, net, pool);
+  const fmm::FfiTotals ffi = fmm::ffi_totals<2>(instance.tree(), part, net);
   const fmm::FfiTotals ffi_ref =
-      fmm::ffi_totals_direct<2>(instance.tree(), part, net, pool);
+      fmm::ffi_totals_direct<2>(instance.tree(), part, net);
   EXPECT_EQ(ffi.interpolation.hops, ffi_ref.interpolation.hops) << net.name();
   EXPECT_EQ(ffi.anterpolation.hops, ffi_ref.anterpolation.hops) << net.name();
   EXPECT_EQ(ffi.interaction.hops, ffi_ref.interaction.hops) << net.name();
@@ -268,18 +266,17 @@ TEST(AggregatedEquivalence, AllTopologiesSeededScenario) {
   const auto curve = sfc::make_curve<2>(CurveKind::kHilbert);
   const core::AcdInstance<2> instance(std::move(particles), level, *curve);
   const fmm::Partition part(instance.particles().size(), p);
-  util::ThreadPool pool(4);
   for (const auto& net : all_topologies(p, *curve)) {
     expect_models_match(instance, part, *net, 2,
-                        fmm::NeighborNorm::kChebyshev, nullptr);
+                        fmm::NeighborNorm::kChebyshev);
     expect_models_match(instance, part, *net, 1,
-                        fmm::NeighborNorm::kManhattan, &pool);
+                        fmm::NeighborNorm::kManhattan);
   }
   // Dragonfly has a = 7 → 56 ranks; it needs its own partition.
   const topo::DragonflyTopology dragonfly(7);
   const fmm::Partition dpart(instance.particles().size(), dragonfly.size());
   expect_models_match(instance, dpart, dragonfly, 2,
-                      fmm::NeighborNorm::kChebyshev, nullptr);
+                      fmm::NeighborNorm::kChebyshev);
 }
 
 TEST(AggregatedEquivalence, WeightedPartition) {
@@ -300,8 +297,7 @@ TEST(AggregatedEquivalence, WeightedPartition) {
   }
   const fmm::Partition part = fmm::Partition::weighted(weights, 32);
   const topo::HypercubeTopology cube(32);
-  expect_models_match(instance, part, cube, 1,
-                      fmm::NeighborNorm::kChebyshev, nullptr);
+  expect_models_match(instance, part, cube, 1, fmm::NeighborNorm::kChebyshev);
 }
 
 TEST(AggregatedEquivalence, ThreeDimensional) {

@@ -44,26 +44,6 @@ TEST(ThreadPool, ZeroSizesToTheAvailableCpusAndAnExplicitCountIsKept) {
   EXPECT_EQ(oversubscribed.size(), available_cpus() + 2);
 }
 
-TEST(ParallelFor, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  constexpr std::size_t kN = 10000;
-  std::vector<std::atomic<int>> touched(kN);
-  parallel_for_chunks(pool, 0, kN, 16, [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) touched[i].fetch_add(1);
-  });
-  for (std::size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(touched[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ParallelFor, EmptyRangeIsNoop) {
-  ThreadPool pool(2);
-  bool called = false;
-  parallel_for_chunks(pool, 5, 5, 1,
-                      [&](std::size_t, std::size_t) { called = true; });
-  EXPECT_FALSE(called);
-}
-
 TEST(ParallelReduce, SumMatchesSerial) {
   ThreadPool pool(4);
   constexpr std::size_t kN = 100000;
@@ -98,8 +78,8 @@ TEST(ParallelReduce, SingleWorkerFallback) {
 
 TEST(RadixSort, ThreadedSortsFromEveryWorkerAtOnceFinish) {
   // Both workers of a 2-worker pool meet, then each fans a segmented
-  // radix sort out over that same pool with parallel_for_chunks. With no
-  // idle worker left, the chunk tasks can only run if the joins help
+  // radix sort out over that same pool with parallel_reduce_chunks. With
+  // no idle worker left, the chunk tasks can only run if the joins help
   // drain the queue; a join that sleeps instead deadlocks the pool.
   constexpr std::size_t kN = 20000;
   constexpr std::size_t kSegment = 500;
@@ -130,12 +110,15 @@ TEST(RadixSort, ThreadedSortsFromEveryWorkerAtOnceFinish) {
     pool.submit([&met, &done, &segments, &pool] {
       met.count_down();
       met.wait();
-      parallel_for_chunks(pool, 0, segments.size(), 1,
-                          [&segments](std::size_t lo, std::size_t hi) {
-                            for (std::size_t s = lo; s < hi; ++s) {
-                              radix_sort_pairs(segments[s]);
-                            }
-                          });
+      const std::size_t count = parallel_reduce_chunks(
+          pool, 0, segments.size(), 1, std::size_t{0},
+          [&segments](std::size_t lo, std::size_t hi) {
+            for (std::size_t s = lo; s < hi; ++s) {
+              radix_sort_pairs(segments[s]);
+            }
+            return hi - lo;
+          });
+      EXPECT_EQ(count, segments.size());
       done.count_down();
     });
   }
