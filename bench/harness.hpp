@@ -316,7 +316,10 @@ inline int run_harness(int argc, const char* const* argv,
                   "cache; warm reruns deserialize instead of recomputing)",
                   "");
   args.add_option("store-budget",
-                  "artifact store byte budget (0 = default 4 GiB)", "0");
+                  "artifact store byte budget (0 = default 4 GiB); the "
+                  "newest file is never evicted, so the store may hold up "
+                  "to budget + its largest artifact",
+                  "0");
   args.add_flag("store-clear",
                 "delete every stored artifact when opening --store");
   args.add_option("seed", "master RNG seed", "1");

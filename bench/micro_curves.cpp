@@ -79,8 +79,8 @@ void BM_OrderVirtualStableSort(benchmark::State& state, CurveKind kind) {
   const auto curve = make_curve<2>(kind);
   const auto& pts = bench_points();
   std::vector<std::uint32_t> rank(pts.size());
+  std::vector<util::KeyIndex> items(pts.size());  // see BM_OrderBatchedRadix
   for (auto _ : state) {
-    std::vector<util::KeyIndex> items(pts.size());
     for (std::size_t i = 0; i < pts.size(); ++i) {
       items[i] = util::KeyIndex{curve->index(pts[i], kLevel),
                                 static_cast<std::uint32_t>(i)};
@@ -105,11 +105,14 @@ void BM_OrderVirtualStableSort(benchmark::State& state, CurveKind kind) {
 void BM_OrderBatchedRadix(benchmark::State& state, CurveKind kind) {
   const auto curve = make_curve<2>(kind);
   const auto& pts = bench_points();
+  // Every buffer lives outside the timed loop: a fresh multi-MB vector
+  // per iteration is mmapped and faulted in again each time, and the
+  // bench would time the page faults instead of the kernel.
   std::vector<std::uint64_t> keys(pts.size());
   std::vector<std::uint32_t> rank(pts.size());
+  std::vector<util::KeyIndex> items(pts.size());
   for (auto _ : state) {
     curve->index_batch(pts.data(), keys.data(), pts.size(), kLevel);
-    std::vector<util::KeyIndex> items(pts.size());
     for (std::size_t i = 0; i < pts.size(); ++i) {
       items[i] = util::KeyIndex{keys[i], static_cast<std::uint32_t>(i)};
     }

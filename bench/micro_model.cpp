@@ -4,6 +4,10 @@
 // bound how large a study a given machine can afford.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <numeric>
+#include <vector>
+
 #include "core/acd.hpp"
 #include "fmm/ffi.hpp"
 #include "fmm/nfi.hpp"
@@ -128,6 +132,55 @@ void BM_NfiDirect(benchmark::State& state, unsigned radius) {
                           static_cast<std::int64_t>(pairs));
 }
 
+// The sparse NFI build as the Table I sweep calls it: the paper's
+// default p = 65536 is beyond the dense budget, so the histogram takes
+// the sparse path. A 250k uniform sample at level 10 in row-major cell
+// order (the sweep's canonical copy), owners from its Hilbert ranks,
+// r = 1. Items are events, so the output is ns/event.
+constexpr std::size_t kSparseParticles = 250000;
+constexpr topo::Rank kSparseProcs = 65536;
+
+void BM_NfiHistogramSparse(benchmark::State& state) {
+  dist::SampleConfig cfg;
+  cfg.count = kSparseParticles;
+  cfg.level = kAggLevel;
+  cfg.seed = 1;
+  std::vector<Point2> canonical =
+      dist::sample_particles<2>(dist::DistKind::kUniform, cfg);
+  std::sort(canonical.begin(), canonical.end(),
+            [](const Point2& a, const Point2& b) {
+              return pack(a, kAggLevel) < pack(b, kAggLevel);
+            });
+  const fmm::OccupancyGrid<2> grid(canonical, kAggLevel);
+  const auto curve = make_curve<2>(CurveKind::kHilbert);
+  std::vector<std::uint32_t> by_key(canonical.size());
+  std::iota(by_key.begin(), by_key.end(), 0u);
+  std::sort(by_key.begin(), by_key.end(),
+            [&](std::uint32_t a, std::uint32_t b) {
+              return curve->index(canonical[a], kAggLevel) <
+                     curve->index(canonical[b], kAggLevel);
+            });
+  const std::vector<topo::Rank> by_rank =
+      fmm::Partition(canonical.size(), kSparseProcs).owner_table();
+  std::vector<topo::Rank> owners(canonical.size());
+  for (std::size_t k = 0; k < by_key.size(); ++k) {
+    owners[by_key[k]] = by_rank[k];
+  }
+  const auto build = [&] {
+    const core::RankPairAccumulator hist = fmm::nfi_histogram_owners<2>(
+        canonical, grid, owners, kSparseProcs, 1);
+    hist.seal();  // what the sweep stores: the compacted pair list
+    return hist;
+  };
+  const std::uint64_t events = build().events();
+  for (auto _ : state) {
+    const core::RankPairAccumulator hist = build();
+    benchmark::DoNotOptimize(&hist);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(events));
+}
+
 void BM_FfiAggregated(benchmark::State& state) {
   const auto& instance = agg_instance();
   const fmm::Partition part(instance.particles().size(), kAggProcs);
@@ -198,6 +251,7 @@ BENCHMARK_CAPTURE(BM_NfiDirect, r1, 1u);
 BENCHMARK_CAPTURE(BM_NfiDirect, r4, 4u);
 BENCHMARK(BM_FfiAggregated);
 BENCHMARK(BM_FfiDirect);
+BENCHMARK(BM_NfiHistogramSparse);
 
 // Custom main so the JSON context records the dispatched ISA (see
 // micro_curves.cpp).

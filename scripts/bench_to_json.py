@@ -2,7 +2,8 @@
 """Emit BENCH_acd.json: machine-readable perf numbers for the ACD hot paths.
 
 Runs the micro_model google-benchmark binary (aggregated vs direct NFI/FFI
-passes, ns per communication pair), optionally a reduced-scale table1_nfi
+passes, ns per communication pair, and the sparse NFI histogram build at
+Table I's p = 65536, ns per event), optionally a reduced-scale table1_nfi
 end-to-end timing, and the sweep-engine comparison (table1_nfi and
 fig6_topologies with artifact reuse vs --no-reuse, verifying the ACD cells
 are bit-identical and recording the wall-clock speedup plus the engine's
@@ -40,7 +41,7 @@ def run_micro_model(binary, min_time, repetitions, smoke):
     used, which suppresses scheduler/frequency jitter on shared machines."""
     cmd = [
         binary,
-        "--benchmark_filter=Aggregated|Direct",
+        "--benchmark_filter=Aggregated|Direct|NfiHistogramSparse",
         "--benchmark_format=json",
     ]
     if smoke:
@@ -696,6 +697,14 @@ def main():
             "speedup": d / a if a and d else None,
         }
 
+    # The sparse NFI build at Table I's shape (p = 65536 is past the
+    # dense budget): recorded next to the p = 256 figures, not gated.
+    nfi_sparse = {}
+    sparse = entries.get("BM_NfiHistogramSparse")
+    if sparse:
+        nfi_sparse = {"particles": 250000, "level": 10, "procs": 65536,
+                      "radius": 1, "ns_per_event": ns_per_pair(sparse)}
+
     result = {
         "benchmark": "acd_rank_pair_aggregation",
         "scenario": {
@@ -708,6 +717,7 @@ def main():
         "smoke": opts.smoke,
         "build": build,
         "nfi": nfi,
+        "nfi_sparse": nfi_sparse,
         "ffi": ffi,
     }
 
@@ -813,6 +823,9 @@ def main():
               f"aggregated vs {r['direct_ns_per_pair']:.2f} direct "
               f"({speed:.2f}x{simd})" if speed
               else f"  nfi/{radius}: incomplete")
+    if nfi_sparse.get("ns_per_event"):
+        print(f"  nfi/sparse p={nfi_sparse['procs']}: "
+              f"{nfi_sparse['ns_per_event']:.2f} ns/event")
     if ffi and ffi.get("speedup"):
         print(f"  ffi: {ffi['aggregated_ns_per_pair']:.2f} ns/pair aggregated "
               f"vs {ffi['direct_ns_per_pair']:.2f} direct "

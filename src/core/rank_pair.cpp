@@ -1,6 +1,7 @@
 #include "core/rank_pair.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 
 namespace sfc::core {
@@ -12,6 +13,22 @@ RankPairAccumulator::RankPairAccumulator(topo::Rank procs,
   if (is_dense_) {
     dense_.assign(static_cast<std::size_t>(p_) * p_, 0u);
   }
+}
+
+RankPairAccumulator RankPairAccumulator::from_sorted(
+    topo::Rank procs,
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> pairs) {
+#ifndef NDEBUG
+  const std::uint64_t p2 = static_cast<std::uint64_t>(procs) * procs;
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    assert(pairs[i].first < p2 && pairs[i].second != 0);
+    assert(i == 0 || pairs[i - 1].first < pairs[i].first);
+  }
+#endif
+  RankPairAccumulator acc(procs, /*dense_budget=*/0);
+  acc.sorted_ = std::move(pairs);
+  acc.seal();
+  return acc;
 }
 
 void RankPairAccumulator::add_sparse(topo::Rank src, topo::Rank dst,
@@ -161,9 +178,13 @@ std::optional<RankPairAccumulator> rank_pairs_deserialize(
   if (dense && p2 > RankPairAccumulator::kDenseEntryBudget) {
     return std::nullopt;
   }
-  RankPairAccumulator acc(static_cast<topo::Rank>(procs),
-                          dense ? static_cast<std::size_t>(p2) : 0);
-  if (!dense) acc.sorted_.reserve(static_cast<std::size_t>(pairs));
+  const auto p = static_cast<topo::Rank>(procs);
+  // The serializer writes nonzero counts in strictly increasing key
+  // order, so a sparse record is already the sorted list: no sort, no
+  // merge. A dense record fills a zeroed p² array, one add per pair.
+  RankPairAccumulator acc(p, dense ? static_cast<std::size_t>(p2) : 0);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> sorted;
+  if (!dense) sorted.reserve(static_cast<std::size_t>(pairs));
   std::uint64_t prev = 0;
   for (std::uint64_t i = 0; i < pairs; ++i) {
     std::uint64_t key = 0, count = 0;
@@ -171,19 +192,19 @@ std::optional<RankPairAccumulator> rank_pairs_deserialize(
         !read_u64(data, size, offset, count)) {
       return std::nullopt;
     }
-    // The serializer writes nonzero counts in strictly increasing key
-    // order, so the sorted list needs no sort and no merge.
     if (key >= p2 || count == 0 || (i != 0 && key <= prev)) {
       return std::nullopt;
     }
     prev = key;
     if (dense) {
-      acc.dense_[static_cast<std::size_t>(key)] = count;
+      acc.add(static_cast<topo::Rank>(key / procs),
+              static_cast<topo::Rank>(key % procs), count);
     } else {
-      acc.sorted_.emplace_back(key, count);
+      sorted.emplace_back(key, count);
     }
   }
-  return acc;
+  if (dense) return acc;
+  return RankPairAccumulator::from_sorted(p, std::move(sorted));
 }
 
 std::uint64_t RankPairAccumulator::events() const {

@@ -10,9 +10,15 @@
 // fold strategies.
 //
 // Storage adapts to p: a dense p² count array while p² fits the budget
-// (p <= 2048 by default), and a sorted-sparse (key → count) list with a
-// bounded unsorted staging buffer beyond — sweeps at paper scale
-// (p = 65536) never allocate p² memory.
+// (p <= 2048 by default), and a sorted-sparse (key → count) list beyond —
+// sweeps at paper scale (p = 65536) never allocate p² memory. Sparse
+// histograms are filled one of two ways:
+//   - producers that emit pairs already in key order hand the list to
+//     from_sorted(): the sparse NFI build (one source row at a time) and
+//     the artifact-store codec. No staging, no sort.
+//   - callers that add() in arbitrary order — the FFI histograms,
+//     DynamicAcd and its PairDeltas, ffi_logtree, operator+= — land in a
+//     bounded unsorted staging buffer that compact() sorts and merges.
 //
 // Beyond the fast path, the histogram itself is the observability
 // artifact for contention modeling: for_each() exposes the exact
@@ -39,6 +45,16 @@ class RankPairAccumulator {
   /// `dense_budget` is a test hook: pass 0 to force the sparse fallback.
   explicit RankPairAccumulator(topo::Rank procs,
                                std::size_t dense_budget = kDenseEntryBudget);
+
+  /// A sealed sparse histogram holding exactly `pairs`: (key = src·p +
+  /// dst, count) entries with nonzero counts in strictly increasing key
+  /// order (asserted in debug builds). The entry point for producers
+  /// that emit pairs in key order — the list becomes the sorted
+  /// aggregate as is, trimmed to its size, and never passes through the
+  /// staging buffer.
+  static RankPairAccumulator from_sorted(
+      topo::Rank procs,
+      std::vector<std::pair<std::uint64_t, std::uint64_t>> pairs);
 
   topo::Rank procs() const noexcept { return p_; }
   bool dense() const noexcept { return is_dense_; }
@@ -143,16 +159,14 @@ class RankPairAccumulator {
 
  private:
   /// Staging buffer cap before a sort-and-merge compaction (16 MiB).
+  /// Only the arbitrary-order add()/sub() callers stage; from_sorted()
+  /// histograms never do.
   static constexpr std::size_t kStagingCap = std::size_t{1} << 20;
 
   void add_sparse(topo::Rank src, topo::Rank dst, std::uint64_t count);
   /// Merge the staging buffer into the sorted aggregate. Const because
   /// the pair *multiset* is unchanged — only its representation.
   void compact() const;
-
-  /// Fills the storage straight from a serialized record.
-  friend std::optional<RankPairAccumulator> rank_pairs_deserialize(
-      const std::uint8_t* data, std::size_t size, std::size_t& offset);
 
   topo::Rank p_;
   bool is_dense_;
@@ -175,8 +189,8 @@ void rank_pairs_serialize(const RankPairAccumulator& acc,
 /// past it. The restored accumulator reproduces the recorded dense or
 /// sparse mode exactly (via the ctor's budget hook), independent of what
 /// the default budget would choose today, and comes back sealed: the
-/// pairs fill the sorted list (or the dense array) directly, with no
-/// re-sort.
+/// pairs fill the dense array, or become the sorted list through
+/// RankPairAccumulator::from_sorted, with no re-sort.
 /// Returns nullopt on malformed bytes — a key out of range, keys not
 /// strictly increasing, a zero count, or a dense record with p² above
 /// kDenseEntryBudget (no producer writes any of these). The artifact store's checksum makes that unreachable for

@@ -1,5 +1,7 @@
 #include "fmm/nfi.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <utility>
 
 #include "core/rank_pair.hpp"
@@ -114,21 +116,19 @@ inline void halfwindow_dense2(const std::int32_t* cells, unsigned level,
   }
 }
 
-/// The NFI enumeration kernel: histogram the near-field events of every
-/// particle into `acc` as (src rank, dst rank) → count entries,
-/// with the source rank of particle i read from `owners[i]`. The emitted
-/// event multiset is a function of the particle positions and owners only
-/// (the half-window orientation is spatial, not positional), so any array
-/// order of the same particle/owner assignment gives the same histogram.
-template <int D>
-void nfi_into_owners(const std::vector<Point<D>>& particles,
-                     const OccupancyGrid<D>& grid,
-                     const std::vector<topo::Rank>& owners,
-                     core::RankPairAccumulator& acc, unsigned radius,
-                     NeighborNorm norm) {
+/// Hand `body` the event scan of the NFI enumeration kernel:
+/// body(scan, weight), where scan(i, push) calls push(j) for every
+/// near-field neighbor j of particle i and each (i, j) stands for
+/// `weight` directed events. The emitted event multiset is a function of
+/// the particle positions only (the half-window orientation is spatial,
+/// not positional), so any array order of the same particles gives the
+/// same events.
+template <int D, typename Body>
+void with_event_scan(const std::vector<Point<D>>& particles,
+                     const OccupancyGrid<D>& grid, unsigned radius,
+                     NeighborNorm norm, Body&& body) {
   const std::int32_t* cells = grid.dense_cells();
   const std::int64_t r = radius;
-  const topo::Rank* own = owners.data();
 
   if constexpr (D == 2) {
     if (cells != nullptr) {
@@ -145,41 +145,94 @@ void nfi_into_owners(const std::vector<Point<D>>& particles,
           scratch.resize(static_cast<std::size_t>(2 * r * r + 2 * r + 7));
         }
       }
-      auto scan = [&](const Point<2>& p, auto&& push) {
+      auto scan = [&](std::size_t i, auto&& push) {
+        const Point<2>& p = particles[i];
         if (collect != nullptr) {
           const std::size_t m =
               collect(cells, level, p[0], p[1], static_cast<std::uint32_t>(r),
                       norm == NeighborNorm::kChebyshev, scratch.data());
-          for (std::size_t k = 0; k < m; ++k) push(scratch[k]);
+          for (std::size_t k = 0; k < m; ++k) {
+            push(static_cast<std::size_t>(scratch[k]));
+          }
         } else {
-          halfwindow_dense2(cells, level, p, r, norm, push);
+          halfwindow_dense2(cells, level, p, r, norm, [&](std::int32_t j) {
+            push(static_cast<std::size_t>(j));
+          });
         }
       };
       // Hop distance is symmetric (the interconnects are undirected; the
       // metric-property tests assert it), so the directed events
       // (src, dst) and (dst, src) of each half-window pair fold to the
       // same 2·d(src, dst) as a single count-2 entry on src's row.
-      for (std::size_t i = 0; i < particles.size(); ++i) {
-        const topo::Rank src = own[i];
-        std::uint64_t* row = acc.row(src);
-        if (row != nullptr) {
-          scan(particles[i], [&](std::int32_t j) {
-            row[own[static_cast<std::size_t>(j)]] += 2;
-          });
-        } else {
-          scan(particles[i], [&](std::int32_t j) {
-            acc.add(src, own[static_cast<std::size_t>(j)], 2);
-          });
-        }
-      }
+      body(scan, std::uint64_t{2});
       return;
     }
   }
-  for (std::size_t i = 0; i < particles.size(); ++i) {
-    const topo::Rank src = own[i];
-    visit_neighbors<D>(grid, cells, particles[i], r, norm,
-                       [&](std::size_t j) { acc.add(src, own[j]); });
+  auto scan = [&](std::size_t i, auto&& push) {
+    visit_neighbors<D>(grid, cells, particles[i], r, norm, push);
+  };
+  body(scan, std::uint64_t{1});
+}
+
+/// Dense mode: increment the source row's counts in place.
+template <typename Scan>
+void nfi_rows_dense(std::size_t n, const topo::Rank* own, Scan&& scan,
+                    std::uint64_t weight, core::RankPairAccumulator& acc) {
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint64_t* row = acc.row(own[i]);
+    scan(i, [&](std::size_t j) { row[own[j]] += weight; });
   }
+}
+
+/// Particle indices grouped by owner rank: ranks ascending, array order
+/// within a rank. A counting sort, O(n + p): its p-entry bucket array is
+/// half the size of the per-rank coordinate table a p-rank topology
+/// already holds.
+std::vector<std::uint32_t> bucket_by_owner(const topo::Rank* own,
+                                           std::size_t n, topo::Rank procs) {
+  std::vector<std::uint32_t> next(procs, 0);
+  for (std::size_t i = 0; i < n; ++i) ++next[own[i]];
+  std::uint32_t sum = 0;
+  for (std::uint32_t& c : next) sum += std::exchange(c, sum);
+  std::vector<std::uint32_t> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[next[own[i]]++] = static_cast<std::uint32_t>(i);
+  }
+  return out;
+}
+
+/// Sparse mode, one source row at a time: walk the source ranks in
+/// increasing order, collect each row's destinations, sort them and
+/// run-length them into (src·p + dst, count) pairs. Rows arrive in key
+/// order, so the pair list is the sealed histogram as built — no staging
+/// buffer and no compaction sort. A row holds only the few destinations
+/// its SFC chunk's surface touches, so its sort is tiny.
+template <typename Scan>
+core::RankPairAccumulator nfi_rows_sparse(std::size_t n,
+                                          const topo::Rank* own,
+                                          topo::Rank procs, Scan&& scan,
+                                          std::uint64_t weight) {
+  const std::vector<std::uint32_t> by_owner = bucket_by_owner(own, n, procs);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> pairs;
+  pairs.reserve(n);  // about one pair per particle at r = 1; seal() trims
+  std::vector<topo::Rank> dsts;
+  for (std::size_t k = 0; k < n;) {
+    const topo::Rank src = own[by_owner[k]];
+    dsts.clear();
+    for (; k < n && own[by_owner[k]] == src; ++k) {
+      scan(by_owner[k], [&](std::size_t j) { dsts.push_back(own[j]); });
+    }
+    std::sort(dsts.begin(), dsts.end());
+    const std::size_t m = dsts.size();
+    const std::uint64_t base = static_cast<std::uint64_t>(src) * procs;
+    for (std::size_t a = 0; a < m;) {
+      std::size_t b = a + 1;
+      while (b < m && dsts[b] == dsts[a]) ++b;
+      pairs.emplace_back(base + dsts[a], (b - a) * weight);
+      a = b;
+    }
+  }
+  return core::RankPairAccumulator::from_sorted(procs, std::move(pairs));
 }
 
 }  // namespace
@@ -191,7 +244,17 @@ core::RankPairAccumulator nfi_histogram_owners(
     NeighborNorm norm) {
   const obs::Span span("nfi/enumerate");
   core::RankPairAccumulator acc(procs);
-  nfi_into_owners<D>(particles, grid, owners, acc, radius, norm);
+  with_event_scan<D>(particles, grid, radius, norm,
+                     [&](auto&& scan, std::uint64_t weight) {
+                       if (acc.dense()) {
+                         nfi_rows_dense(particles.size(), owners.data(), scan,
+                                        weight, acc);
+                       } else {
+                         acc = nfi_rows_sparse(particles.size(),
+                                               owners.data(), procs, scan,
+                                               weight);
+                       }
+                     });
   return acc;
 }
 

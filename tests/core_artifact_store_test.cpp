@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 #include <stdlib.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -488,6 +489,48 @@ TEST_F(ArtifactStoreTest, RerunWithoutFoldsLoadsOnlyTheHistograms) {
     expect_unrequested(w.sweep, kUpstreamOfHistograms, what);
     // The rebuilt folds are saved again.
     EXPECT_EQ(artifacts_of("fold").size(), kPrunedPlanFolds) << what;
+  }
+}
+
+TEST_F(ArtifactStoreTest, OneByteBudgetBoundsAWholeStudyByItsLargestArtifact) {
+  // The budget never evicts the newest file, so what stays resident is
+  // bounded by budget + the largest artifact, not by the budget alone —
+  // under a pool too, where saves race with each other.
+  const Study s = pruned_plan_study();
+  SweepOptions plain;
+  const StudyResult oracle = run_study(s, plain);
+  std::uintmax_t largest = 0;
+  {
+    ArtifactStore store(options());
+    SweepOptions cold;
+    cold.store = &store;
+    (void)run_study(s, cold);
+    for (const auto& entry : fs::directory_iterator(dir_)) {
+      largest = std::max(largest, entry.file_size());
+    }
+  }
+  ASSERT_GT(largest, 0u);
+
+  util::ThreadPool pool(4);
+  for (util::ThreadPool* p : {static_cast<util::ThreadPool*>(nullptr), &pool}) {
+    const char* what = p == nullptr ? "serial" : "pooled";
+    ArtifactStoreOptions o = options();
+    o.byte_budget = 1;
+    o.clear = true;
+    ArtifactStore store(o);
+    SweepOptions tight;
+    tight.store = &store;
+    tight.pool = p;
+    expect_cells_match(run_study(s, tight), oracle, what);
+    const ArtifactStore::Stats st = store.stats();
+    EXPECT_GT(st.spills, 1u) << what;
+    EXPECT_EQ(st.resident_files, 1u) << what;
+    EXPECT_LE(st.resident_bytes, o.byte_budget + largest) << what;
+    std::uintmax_t on_disk = 0;
+    for (const auto& entry : fs::directory_iterator(dir_)) {
+      on_disk += entry.file_size();
+    }
+    EXPECT_EQ(on_disk, st.resident_bytes) << what;
   }
 }
 

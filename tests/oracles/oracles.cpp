@@ -46,21 +46,28 @@ Point<D> parent_of(const Point<D>& cell) {
 }
 
 /// Every ordered near-field pair (i, j), i != j, with
+/// ||x_i - x_j|| <= radius under `norm`: fn(i, j) once per event.
+template <int D, typename Fn>
+void nfi_index_events(const std::vector<Point<D>>& pts, unsigned radius,
+                      fmm::NeighborNorm norm, Fn&& fn) {
+  const std::size_t n = pts.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (j != i && within_ball(pts[i], pts[j], radius, norm)) fn(i, j);
+    }
+  }
+}
+
+/// Every ordered near-field pair (i, j), i != j, with
 /// ||x_i - x_j|| <= radius under `norm`: fn(owner(i), owner(j)) once per
 /// event, straight from Definition 1's O(n²) double loop.
 template <int D, typename Fn>
 void nfi_events(const std::vector<Point<D>>& sorted,
                 const fmm::Partition& part, unsigned radius,
                 fmm::NeighborNorm norm, Fn&& fn) {
-  const std::size_t n = sorted.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    const topo::Rank src = part.proc_of(i);
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j == i) continue;
-      if (!within_ball(sorted[i], sorted[j], radius, norm)) continue;
-      fn(src, part.proc_of(j));
-    }
-  }
+  nfi_index_events<D>(sorted, radius, norm, [&](std::size_t i, std::size_t j) {
+    fn(part.proc_of(i), part.proc_of(j));
+  });
 }
 
 enum class FfiFamily { kInterpolation, kAnterpolation, kInteraction };
@@ -139,6 +146,26 @@ void ffi_events(const std::vector<Point<D>>& sorted, unsigned level,
 }
 
 }  // namespace
+
+template <int D>
+PairCounts nfi_pair_counts(const std::vector<Point<D>>& pts,
+                           const std::vector<topo::Rank>& owners,
+                           unsigned radius, fmm::NeighborNorm norm,
+                           bool half_window) {
+  PairCounts counts;
+  nfi_index_events<D>(pts, radius, norm, [&](std::size_t i, std::size_t j) {
+    if (!half_window) {
+      ++counts[{owners[i], owners[j]}];
+      return;
+    }
+    // j lies in i's positive half-plane: a row above, or the same row
+    // to the right. Exactly one endpoint of each pair sees the other.
+    const bool above = pts[j][1] > pts[i][1];
+    const bool right = pts[j][1] == pts[i][1] && pts[j][0] > pts[i][0];
+    if (above || right) counts[{owners[i], owners[j]}] += 2;
+  });
+  return counts;
+}
 
 template <int D>
 core::CommTotals nfi_pairwise(const std::vector<Point<D>>& sorted,
@@ -254,6 +281,12 @@ FrozenTotals frozen_totals(const std::vector<Point<D>>& positions,
           ffi_definitional<D>(positions, level, part, net)};
 }
 
+template PairCounts nfi_pair_counts<2>(const std::vector<Point<2>>&,
+                                      const std::vector<topo::Rank>&, unsigned,
+                                      fmm::NeighborNorm, bool);
+template PairCounts nfi_pair_counts<3>(const std::vector<Point<3>>&,
+                                      const std::vector<topo::Rank>&, unsigned,
+                                      fmm::NeighborNorm, bool);
 template core::CommTotals nfi_pairwise<2>(const std::vector<Point<2>>&,
                                           const fmm::Partition&,
                                           const topo::Topology&, unsigned,

@@ -39,6 +39,22 @@ core::CommTotals nfi_pairwise(const std::vector<Point<D>>& sorted,
                               const topo::Topology& net, unsigned radius,
                               fmm::NeighborNorm norm);
 
+/// (src rank, dst rank) -> communication count.
+using PairCounts = std::map<std::pair<topo::Rank, topo::Rank>, std::uint64_t>;
+
+/// nfi_pairwise's events aggregated per rank pair, under an explicit
+/// owner table: `owners[i]` holds `pts[i]`, and the array order is
+/// irrelevant. With `half_window` the counts take the 2-D dense kernel's
+/// representation: each unordered pair once, on the row of the endpoint
+/// that sees the other in its positive half-plane (a row above, or the
+/// same row to the right), with count 2. The two representations fold to
+/// the same totals on any undirected interconnect.
+template <int D>
+PairCounts nfi_pair_counts(const std::vector<Point<D>>& pts,
+                           const std::vector<topo::Rank>& owners,
+                           unsigned radius, fmm::NeighborNorm norm,
+                           bool half_window);
+
 /// Definitional far-field totals: occupied-cell sets per level built with
 /// ordered maps, lowest-sorted-particle ownership, interpolation edges
 /// child->parent, anterpolation the mirror, and interaction lists
@@ -100,6 +116,12 @@ FrozenTotals frozen_totals(const std::vector<Point<D>>& positions,
                            const topo::Topology& net, unsigned radius,
                            fmm::NeighborNorm norm);
 
+extern template PairCounts nfi_pair_counts<2>(const std::vector<Point<2>>&,
+                                             const std::vector<topo::Rank>&,
+                                             unsigned, fmm::NeighborNorm, bool);
+extern template PairCounts nfi_pair_counts<3>(const std::vector<Point<3>>&,
+                                             const std::vector<topo::Rank>&,
+                                             unsigned, fmm::NeighborNorm, bool);
 extern template core::CommTotals nfi_pairwise<2>(const std::vector<Point<2>>&,
                                                  const fmm::Partition&,
                                                  const topo::Topology&,

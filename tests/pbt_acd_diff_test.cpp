@@ -237,6 +237,191 @@ TEST(AcdDiff, NfiSparseAccumulatorMatchesDense) {
       });
 }
 
+/// The NFI kernel on its sparse path, in arbitrary array order: the
+/// particles sit in a random cluster of the grid (so events exist even on
+/// a level-14 map-backed grid), `owners` are contiguous chunks of the
+/// generation order handed to random ranks below `procs` (> 2048, so the
+/// default budget goes sparse with no test hook), and `perm` is the array
+/// order the kernel sees.
+template <int D>
+struct SparseNfiCase {
+  unsigned level = 2;
+  std::vector<Point<D>> pts;
+  std::vector<topo::Rank> owners;
+  std::vector<std::size_t> perm;
+  topo::Rank procs = 4096;
+  unsigned radius = 1;
+  fmm::NeighborNorm norm = fmm::NeighborNorm::kChebyshev;
+};
+
+template <int D>
+std::ostream& operator<<(std::ostream& os, const SparseNfiCase<D>& c) {
+  os << "{D=" << D << ", level=" << c.level << ", procs=" << c.procs
+     << ", radius=" << c.radius << ", norm="
+     << (c.norm == fmm::NeighborNorm::kChebyshev ? "chebyshev" : "manhattan")
+     << ", pts(owner)=[";
+  for (std::size_t i = 0; i < c.pts.size(); ++i) {
+    os << "(";
+    for (int d = 0; d < D; ++d) os << (d ? "," : "") << c.pts[i][d];
+    os << ")@" << c.owners[i] << " ";
+  }
+  os << "], perm=[";
+  for (const std::size_t i : c.perm) os << i << " ";
+  return os << "]}";
+}
+
+/// The points are `min_n`..`max_n` distinct cells of a 2^box-wide box
+/// (box = min(level, max_box_level)) placed at a random offset of the
+/// level grid. `procs` is drawn from [2049, 2^17].
+template <int D>
+Gen<SparseNfiCase<D>> sparse_nfi_case(Gen<unsigned> level_gen,
+                                      unsigned max_box_level,
+                                      std::size_t min_n, std::size_t max_n) {
+  return Gen<SparseNfiCase<D>>{
+      [=](Rand& r) {
+        SparseNfiCase<D> c;
+        c.level = level_gen.sample(r);
+        const unsigned box = std::min(c.level, max_box_level);
+        const auto cap = static_cast<std::size_t>(
+            std::min<std::uint64_t>(max_n, grid_size<D>(box) / 2));
+        c.pts = distinct_points<D>(box, min_n, cap).sample(r);
+        const std::uint64_t slack =
+            (std::uint64_t{1} << c.level) - (std::uint64_t{1} << box) + 1;
+        for (int d = 0; d < D; ++d) {
+          const auto off = static_cast<std::uint32_t>(r.below(slack));
+          for (Point<D>& q : c.pts) q[d] += off;
+        }
+        const std::size_t n = c.pts.size();
+        c.procs = static_cast<topo::Rank>(r.between(2049, 1u << 17));
+        const std::size_t chunks = r.between(1, n);
+        std::vector<topo::Rank> rank_of(chunks);
+        for (topo::Rank& k : rank_of) {
+          k = static_cast<topo::Rank>(r.below(c.procs));
+        }
+        c.owners.resize(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          c.owners[i] = rank_of[i * chunks / n];
+        }
+        c.perm.resize(n);
+        for (std::size_t i = 0; i < n; ++i) c.perm[i] = i;
+        for (std::size_t i = n; i > 1; --i) {
+          std::swap(c.perm[i - 1], c.perm[r.below(i)]);
+        }
+        c.radius = static_cast<unsigned>(r.between(1, 3));
+        c.norm = r.coin() ? fmm::NeighborNorm::kChebyshev
+                          : fmm::NeighborNorm::kManhattan;
+        return c;
+      },
+      [min_n](const SparseNfiCase<D>& c,
+              std::vector<SparseNfiCase<D>>& out) {
+        // Drop particles [lo, hi) with their owners and perm slots: each
+        // half first, then (on small cases) one particle at a time.
+        const std::size_t n = c.pts.size();
+        const auto without = [&c](std::size_t lo, std::size_t hi) {
+          SparseNfiCase<D> smaller = c;
+          const auto at = [](std::size_t i) {
+            return static_cast<std::ptrdiff_t>(i);
+          };
+          smaller.pts.erase(smaller.pts.begin() + at(lo),
+                            smaller.pts.begin() + at(hi));
+          smaller.owners.erase(smaller.owners.begin() + at(lo),
+                               smaller.owners.begin() + at(hi));
+          smaller.perm.clear();
+          for (const std::size_t i : c.perm) {
+            if (i < lo || i >= hi) {
+              smaller.perm.push_back(i >= hi ? i - (hi - lo) : i);
+            }
+          }
+          return smaller;
+        };
+        if (n / 2 >= min_n && n > 1) {
+          out.push_back(without(0, n / 2));
+          out.push_back(without(n / 2, n));
+        }
+        if (n > min_n && n <= 128) {
+          for (std::size_t i = 0; i < n; ++i) out.push_back(without(i, i + 1));
+        }
+        if (c.radius > 1) {
+          SparseNfiCase<D> smaller = c;
+          smaller.radius = 1;
+          out.push_back(std::move(smaller));
+        }
+      }};
+}
+
+template <int D>
+std::optional<std::string> check_sparse_nfi(const SparseNfiCase<D>& c) {
+  std::vector<Point<D>> pts(c.pts.size());
+  std::vector<topo::Rank> owners(c.pts.size());
+  for (std::size_t k = 0; k < c.perm.size(); ++k) {
+    pts[k] = c.pts[c.perm[k]];
+    owners[k] = c.owners[c.perm[k]];
+  }
+  const fmm::OccupancyGrid<D> grid(pts, c.level);
+  const core::RankPairAccumulator hist = fmm::nfi_histogram_owners<D>(
+      pts, grid, owners, c.procs, c.radius, c.norm);
+  if (hist.dense()) return "the default budget chose dense mode";
+  hist.seal();
+
+  std::vector<std::tuple<std::uint64_t, topo::Rank, topo::Rank,
+                         std::uint64_t>> got;
+  hist.for_each([&](topo::Rank s, topo::Rank d, std::uint64_t k) {
+    got.emplace_back(std::uint64_t{s} * c.procs + d, s, d, k);
+  });
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (std::get<3>(got[i]) == 0) return "a pair with count 0";
+    if (i != 0 && std::get<0>(got[i - 1]) >= std::get<0>(got[i])) {
+      return "keys not strictly increasing at pair " + std::to_string(i);
+    }
+  }
+  const std::size_t entry = sizeof(std::pair<std::uint64_t, std::uint64_t>);
+  if (hist.memory_bytes() != got.size() * entry) {
+    return "sealed histogram holds " + std::to_string(hist.memory_bytes()) +
+           " bytes for " + std::to_string(got.size()) + " pairs";
+  }
+
+  // The 2-D dense grid takes the half-window kernel (count-2 entries on
+  // one endpoint's row); every other grid records each directed event.
+  const bool half_window = D == 2 && grid.dense_cells() != nullptr;
+  const oracle::PairCounts want =
+      oracle::nfi_pair_counts<D>(c.pts, c.owners, c.radius, c.norm,
+                                 half_window);
+  if (got.size() != want.size()) {
+    return std::to_string(got.size()) + " pairs, oracle has " +
+           std::to_string(want.size());
+  }
+  auto it = want.begin();
+  for (const auto& [key, s, d, k] : got) {
+    if (it->first != std::pair{s, d} || it->second != k) {
+      return "pair (" + std::to_string(s) + "," + std::to_string(d) +
+             ")=" + std::to_string(k) + " but oracle has (" +
+             std::to_string(it->first.first) + "," +
+             std::to_string(it->first.second) + ")=" +
+             std::to_string(it->second);
+    }
+    ++it;
+  }
+  return std::nullopt;
+}
+
+TEST(AcdDiff, NfiSparseKernelMatchesPerEventOracle) {
+  // Levels 2-5 take the dense grid (half-window kernel, SIMD compaction
+  // at r >= 2); 14-15 the map-backed grid and the generic window visitor.
+  const Gen<unsigned> level = Gen<unsigned>{
+      [](Rand& r) {
+        return static_cast<unsigned>(r.coin() ? r.between(2, 5)
+                                              : r.between(14, 15));
+      },
+      [](const unsigned&, std::vector<unsigned>&) {}};
+  SFCACD_PBT_CHECK_CFG(sparse_nfi_case<2>(level, 5, 1, 96),
+                       CheckConfig{}.scaled(0.5), check_sparse_nfi<2>);
+}
+
+TEST(AcdDiff, NfiSparseKernelMatchesPerEventOracle3D) {
+  SFCACD_PBT_CHECK_CFG(sparse_nfi_case<3>(level_in(2, 4), 3, 1, 96),
+                       CheckConfig{}.scaled(0.25), check_sparse_nfi<3>);
+}
+
 // ------------------------------------------------------ FFI differential
 
 TEST(AcdDiff, FfiEnginesMatchDefinitionalOracle) {
