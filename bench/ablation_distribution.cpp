@@ -25,9 +25,9 @@ static int run_bench(int argc, char** argv) {
   if (!bench::parse_or_usage(args, argc, argv)) return 0;
 
   const auto particles_n = static_cast<std::size_t>(args.i64("particles"));
-  const auto level = static_cast<unsigned>(args.i64("level"));
-  const auto procs = static_cast<topo::Rank>(args.i64("procs"));
-  const auto radius = static_cast<unsigned>(args.i64("radius"));
+  const auto level = args.u32("level");
+  const auto procs = args.u32("procs");
+  const auto radius = args.u32("radius");
   const auto seed = static_cast<std::uint64_t>(args.i64("seed"));
 
   std::cout << "== Distribution ablation: " << particles_n << " particles, "

@@ -18,8 +18,8 @@ static int run_bench(int argc, char** argv) {
   args.add_option("max-particles", "largest particle count", "256000");
   if (!bench::parse_or_usage(args, argc, argv)) return 0;
 
-  const auto level = static_cast<unsigned>(args.i64("level"));
-  const auto procs = static_cast<topo::Rank>(args.i64("procs"));
+  const auto level = args.u32("level");
+  const auto procs = args.u32("procs");
   const auto max_particles =
       static_cast<std::size_t>(args.i64("max-particles"));
   const auto seed = static_cast<std::uint64_t>(args.i64("seed"));

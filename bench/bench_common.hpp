@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdlib>
-#include <exception>
 #include <iostream>
 #include <string>
 
@@ -40,17 +39,7 @@ inline bool parse_or_usage(util::ArgParser& args, int argc,
   return true;
 }
 
-/// Run a bench body, reporting an escaping exception (an invalid
-/// parameter surfaces as std::invalid_argument) like a malformed command
-/// line: `error: <what>` on stderr and exit status 1, never an abort.
-inline int run_main(int argc, char** argv, int (*body)(int, char**)) {
-  try {
-    return body(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << "error: " << e.what() << "\n";
-    return 1;
-  }
-}
+using util::run_main;
 
 inline util::TableStyle table_style(const util::ArgParser& args) {
   return args.flag("csv") ? util::TableStyle::kCsv

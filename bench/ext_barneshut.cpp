@@ -21,8 +21,8 @@ static int run_bench(int argc, char** argv) {
   if (!bench::parse_or_usage(args, argc, argv)) return 0;
 
   const auto particles_n = static_cast<std::size_t>(args.i64("particles"));
-  const auto level = static_cast<unsigned>(args.i64("level"));
-  const auto procs = static_cast<topo::Rank>(args.i64("procs"));
+  const auto level = args.u32("level");
+  const auto procs = args.u32("procs");
 
   std::cout << "== Barnes-Hut communication model: " << particles_n
             << " uniform particles, " << (1u << level)

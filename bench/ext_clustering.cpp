@@ -17,7 +17,7 @@ static int run_bench(int argc, char** argv) {
   args.add_flag("extended", "include snake, column-major and Moore");
   if (!bench::parse_or_usage(args, argc, argv)) return 0;
 
-  const auto level = static_cast<unsigned>(args.i64("level"));
+  const auto level = args.u32("level");
   std::vector<CurveKind> curves(kPaperCurves, kPaperCurves + 4);
   if (args.flag("extended")) {
     curves.assign(std::begin(kAllCurves), std::end(kAllCurves));

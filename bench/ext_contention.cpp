@@ -21,9 +21,9 @@ static int run_bench(int argc, char** argv) {
   if (!bench::parse_or_usage(args, argc, argv)) return 0;
 
   const auto particles_n = static_cast<std::size_t>(args.i64("particles"));
-  const auto level = static_cast<unsigned>(args.i64("level"));
-  const auto proc_level = static_cast<unsigned>(args.i64("proc-level"));
-  const auto radius = static_cast<unsigned>(args.i64("radius"));
+  const auto level = args.u32("level");
+  const auto proc_level = args.u32("proc-level");
+  const auto radius = args.u32("radius");
   const topo::Rank procs = 1u << (2 * proc_level);
 
   std::cout << "== Contention extension: " << particles_n

@@ -23,9 +23,9 @@ static int run_bench(int argc, char** argv) {
   if (!bench::parse_or_usage(args, argc, argv)) return 0;
 
   const auto particles_n = static_cast<std::size_t>(args.i64("particles"));
-  const auto level = static_cast<unsigned>(args.i64("level"));
-  const auto a = static_cast<topo::Rank>(args.i64("group-size"));
-  const auto radius = static_cast<unsigned>(args.i64("radius"));
+  const auto level = args.u32("level");
+  const auto a = args.u32("group-size");
+  const auto radius = args.u32("radius");
 
   const topo::DragonflyTopology dragonfly(a);
   const topo::Rank p_df = dragonfly.size();

@@ -71,11 +71,11 @@ int main(int argc, char** argv) {
     if (h.args().i64("particles") > 0)
       study.particles = static_cast<std::size_t>(h.args().i64("particles"));
     if (h.args().i64("level") > 0)
-      study.level = static_cast<unsigned>(h.args().i64("level"));
+      study.level = h.args().u32("level");
     if (h.args().i64("procs") > 0)
-      study.procs = static_cast<topo::Rank>(h.args().i64("procs"));
-    study.steps = static_cast<unsigned>(h.args().i64("steps"));
-    study.radius = static_cast<unsigned>(h.args().i64("radius"));
+      study.procs = h.args().u32("procs");
+    study.steps = h.args().u32("steps");
+    study.radius = h.args().u32("radius");
     study.seed = h.seed();
     study.move_fraction = h.args().f64("move-frac");
     study.repartition_threshold = h.args().f64("threshold");

@@ -22,9 +22,9 @@ static int run_bench(int argc, char** argv) {
   if (!bench::parse_or_usage(args, argc, argv)) return 0;
 
   const auto particles_n = static_cast<std::size_t>(args.i64("particles"));
-  const auto level = static_cast<unsigned>(args.i64("level"));
-  const auto proc_level = static_cast<unsigned>(args.i64("proc-level"));
-  const auto fail_percent = static_cast<unsigned>(args.i64("fail-percent"));
+  const auto level = args.u32("level");
+  const auto proc_level = args.u32("proc-level");
+  const auto fail_percent = args.u32("fail-percent");
   const std::uint32_t grid_side = 1u << proc_level;
   const topo::Rank procs = grid_side * grid_side;
 

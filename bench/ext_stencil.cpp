@@ -21,8 +21,8 @@ static int run_bench(int argc, char** argv) {
   args.add_option("procs", "processor count", "4096");
   if (!bench::parse_or_usage(args, argc, argv)) return 0;
 
-  const auto level = static_cast<unsigned>(args.i64("level"));
-  const auto procs = static_cast<topo::Rank>(args.i64("procs"));
+  const auto level = args.u32("level");
+  const auto procs = args.u32("procs");
 
   std::cout << "== Stencil decomposition: full " << (1u << level) << "^2 "
             << "grid, p=" << procs << " torus ==\n\n";

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   };
   spec.run = [](bench::Harness& h) {
     const unsigned max_level =
-        static_cast<unsigned>(h.args().i64("max-level"));
+        h.args().u32("max-level");
 
     core::AnnsStudyConfig cfg;
     cfg.levels.clear();
@@ -34,9 +34,9 @@ int main(int argc, char** argv) {
 
     for (const auto& [radius, figure] :
          {std::pair<unsigned, const char*>(
-              static_cast<unsigned>(h.args().i64("radius-a")), "5(a)"),
+              h.args().u32("radius-a"), "5(a)"),
           std::pair<unsigned, const char*>(
-              static_cast<unsigned>(h.args().i64("radius-b")), "5(b)")}) {
+              h.args().u32("radius-b"), "5(b)")}) {
       cfg.radius = radius;
       const auto result =
           core::run_anns_study(cfg, h.pool(), h.text_progress());

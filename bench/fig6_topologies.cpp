@@ -41,11 +41,11 @@ int main(int argc, char** argv) {
     if (h.args().i64("particles") > 0)
       study.particles = static_cast<std::size_t>(h.args().i64("particles"));
     if (h.args().i64("level") > 0)
-      study.level = static_cast<unsigned>(h.args().i64("level"));
+      study.level = h.args().u32("level");
     if (h.args().i64("procs") > 0)
-      procs = static_cast<topo::Rank>(h.args().i64("procs"));
+      procs = h.args().u32("procs");
     if (h.args().i64("radius") > 0)
-      study.radius = static_cast<unsigned>(h.args().i64("radius"));
+      study.radius = h.args().u32("radius");
     study.seed = h.seed();
     study.trials = h.trials();
     study.proc_counts = {procs};

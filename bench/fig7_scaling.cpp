@@ -37,13 +37,13 @@ int main(int argc, char** argv) {
     if (h.args().i64("particles") > 0)
       study.particles = static_cast<std::size_t>(h.args().i64("particles"));
     if (h.args().i64("level") > 0)
-      study.level = static_cast<unsigned>(h.args().i64("level"));
+      study.level = h.args().u32("level");
     topo::Rank min_procs = 16;
     if (h.args().i64("min-procs") > 0)
-      min_procs = static_cast<topo::Rank>(h.args().i64("min-procs"));
+      min_procs = h.args().u32("min-procs");
     if (h.args().i64("max-procs") > 0)
-      max_procs = static_cast<topo::Rank>(h.args().i64("max-procs"));
-    study.radius = static_cast<unsigned>(h.args().i64("radius"));
+      max_procs = h.args().u32("max-procs");
+    study.radius = h.args().u32("radius");
     study.seed = h.seed();
     study.trials = h.trials();
     // Curves stay paired (processor_curves empty); the processor-count

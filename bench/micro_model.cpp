@@ -132,11 +132,11 @@ void BM_NfiDirect(benchmark::State& state, unsigned radius) {
                           static_cast<std::int64_t>(pairs));
 }
 
-// The sparse NFI build as the Table I sweep calls it: the paper's
-// default p = 65536 is beyond the dense budget, so the histogram takes
-// the sparse path. A 250k uniform sample at level 10 in row-major cell
-// order (the sweep's canonical copy), owners from its Hilbert ranks,
-// r = 1. Items are events, so the output is ns/event.
+// The NFI build as the Table I sweep calls it, at the paper's default
+// p = 65536, where the histogram builder takes its source-row path. A
+// 250k uniform sample at level 10 in row-major cell order (the sweep's
+// canonical copy), owners from its Hilbert ranks, r = 1. Items are
+// events, so the output is ns/event.
 constexpr std::size_t kSparseParticles = 250000;
 constexpr topo::Rank kSparseProcs = 65536;
 
@@ -175,6 +175,34 @@ void BM_NfiHistogramSparse(benchmark::State& state) {
   const std::uint64_t events = build().events();
   for (auto _ : state) {
     const core::RankPairAccumulator hist = build();
+    benchmark::DoNotOptimize(&hist);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(events));
+}
+
+// The FFI build at Table II's shape, the counterpart of
+// BM_NfiHistogramSparse: the same 250k uniform sample at level 10 in
+// Hilbert order, p = 65536, both families. Items are events (the
+// interpolation plus the interaction events), so the output is ns/event.
+void BM_FfiHistogramSparse(benchmark::State& state) {
+  dist::SampleConfig cfg;
+  cfg.count = kSparseParticles;
+  cfg.level = kAggLevel;
+  cfg.seed = 1;
+  const auto curve = make_curve<2>(CurveKind::kHilbert);
+  const core::AcdInstance<2> instance(
+      dist::sample_particles<2>(dist::DistKind::kUniform, cfg), kAggLevel,
+      *curve);
+  const fmm::Partition part(instance.particles().size(), kSparseProcs);
+  const auto build = [&] {
+    return fmm::ffi_histograms<2>(instance.tree(), part);
+  };
+  const fmm::FfiHistograms first = build();
+  const std::uint64_t events =
+      first.interpolation.events() + first.interaction.events();
+  for (auto _ : state) {
+    const fmm::FfiHistograms hist = build();
     benchmark::DoNotOptimize(&hist);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -252,6 +280,7 @@ BENCHMARK_CAPTURE(BM_NfiDirect, r4, 4u);
 BENCHMARK(BM_FfiAggregated);
 BENCHMARK(BM_FfiDirect);
 BENCHMARK(BM_NfiHistogramSparse);
+BENCHMARK(BM_FfiHistogramSparse);
 
 // Custom main so the JSON context records the dispatched ISA (see
 // micro_curves.cpp).

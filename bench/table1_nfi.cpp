@@ -24,15 +24,15 @@ int main(int argc, char** argv) {
     core::Study study;
     study.name = "table1_nfi";
     study.particles = static_cast<std::size_t>(h.args().i64("particles"));
-    study.level = static_cast<unsigned>(h.args().i64("level"));
-    study.radius = static_cast<unsigned>(h.args().i64("radius"));
+    study.level = h.args().u32("level");
+    study.radius = h.args().u32("radius");
     study.seed = h.seed();
     study.trials = h.trials();
     study.far_field = false;  // Table I is the near-field study
     study.distributions.assign(dist::kAllDistributions,
                                dist::kAllDistributions + 3);
     study.processor_curves = study.particle_curves;  // full cross product
-    study.proc_counts = {static_cast<topo::Rank>(h.args().i64("procs"))};
+    study.proc_counts = {h.args().u32("procs")};
 
     // run_study validates the parameters the header prints.
     const auto result = core::run_study(study, h.sweep_options(&study));

@@ -15,7 +15,7 @@
 #include "core/clustering.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+static int run_example(int argc, char** argv) {
   using namespace sfc;
 
   util::ArgParser args("acd_tool", "one-shot queries against the library");
@@ -50,13 +50,13 @@ int main(int argc, char** argv) {
     std::cerr << "error: unrecognized curve/topology/distribution\n";
     return 1;
   }
-  const auto level = static_cast<unsigned>(args.i64("level"));
+  const auto level = args.u32("level");
   const auto curve = make_curve<2>(*curve_kind);
   const std::string cmd = args.str("cmd");
 
   if (cmd == "index") {
-    const auto p = make_point(static_cast<std::uint32_t>(args.i64("x")),
-                              static_cast<std::uint32_t>(args.i64("y")));
+    const auto p = make_point(args.u32("x"),
+                              args.u32("y"));
     if (!in_grid(p, level)) {
       std::cerr << "error: point outside the level-" << level << " grid\n";
       return 1;
@@ -76,9 +76,9 @@ int main(int argc, char** argv) {
   }
   if (cmd == "distance") {
     const auto net = topo::make_topology<2>(
-        *topo_kind, static_cast<topo::Rank>(args.i64("procs")), curve.get());
-    const auto a = static_cast<topo::Rank>(args.i64("a"));
-    const auto b = static_cast<topo::Rank>(args.i64("b"));
+        *topo_kind, args.u32("procs"), curve.get());
+    const auto a = args.u32("a");
+    const auto b = args.u32("b");
     if (a >= net->size() || b >= net->size()) {
       std::cerr << "error: rank out of range\n";
       return 1;
@@ -88,13 +88,13 @@ int main(int argc, char** argv) {
   }
   if (cmd == "anns") {
     const auto stats = core::neighbor_stretch(
-        *curve, level, static_cast<unsigned>(args.i64("radius")));
+        *curve, level, args.u32("radius"));
     std::cout << stats.average << " " << stats.maximum << " " << stats.pairs
               << "\n";
     return 0;
   }
   if (cmd == "clusters") {
-    const auto w = static_cast<std::uint32_t>(args.i64("w"));
+    const auto w = args.u32("w");
     const auto stats = core::average_clusters(*curve, level, w, w);
     std::cout << stats.average << " " << stats.maximum << " "
               << stats.queries << "\n";
@@ -104,12 +104,12 @@ int main(int argc, char** argv) {
     core::Scenario2 s;
     s.particles = static_cast<std::size_t>(args.i64("particles"));
     s.level = level >= 6 ? level : 8;  // sensible floor for sampling
-    s.procs = static_cast<topo::Rank>(args.i64("procs"));
+    s.procs = args.u32("procs");
     s.particle_curve = *curve_kind;
     s.processor_curve = *curve_kind;
     s.topology = *topo_kind;
     s.distribution = *dist_kind;
-    s.radius = static_cast<unsigned>(args.i64("radius"));
+    s.radius = args.u32("radius");
     s.seed = static_cast<std::uint64_t>(args.i64("seed"));
     const auto r = core::compute_acd<2>(s);
     std::cout << r.nfi_acd() << " " << r.ffi_acd() << "\n";
@@ -117,4 +117,8 @@ int main(int argc, char** argv) {
   }
   std::cerr << "error: unknown command '" << cmd << "'\n" << args.usage();
   return 1;
+}
+
+int main(int argc, char** argv) {
+  return sfc::util::run_main(argc, argv, run_example);
 }

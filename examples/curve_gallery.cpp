@@ -95,7 +95,7 @@ void render_distribution(dist::DistKind kind) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+static int run_example(int argc, char** argv) {
   util::ArgParser args("curve_gallery",
                        "ASCII renderings of paper Figures 1-3");
   args.add_option("level", "log2 grid side for the curve drawings", "3");
@@ -110,7 +110,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const auto level = static_cast<unsigned>(args.i64("level"));
+  const auto level = args.u32("level");
   const bool only_dist = args.flag("distributions");
   const bool only_order = args.flag("order");
 
@@ -146,4 +146,8 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sfc::util::run_main(argc, argv, run_example);
 }

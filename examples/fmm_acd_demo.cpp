@@ -15,7 +15,7 @@
 #include "core/histogram.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+static int run_example(int argc, char** argv) {
   using namespace sfc;
 
   util::ArgParser args("fmm_acd_demo",
@@ -47,9 +47,9 @@ int main(int argc, char** argv) {
 
   core::Scenario2 s;
   s.particles = static_cast<std::size_t>(args.i64("particles"));
-  s.level = static_cast<unsigned>(args.i64("level"));
-  s.procs = static_cast<topo::Rank>(args.i64("procs"));
-  s.radius = static_cast<unsigned>(args.i64("radius"));
+  s.level = args.u32("level");
+  s.procs = args.u32("procs");
+  s.radius = args.u32("radius");
   s.seed = static_cast<std::uint64_t>(args.i64("seed"));
 
   const auto pc = parse_curve(args.str("particle-curve"));
@@ -136,4 +136,8 @@ int main(int argc, char** argv) {
         ffi_hist.ascii().c_str());
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sfc::util::run_main(argc, argv, run_example);
 }

@@ -12,7 +12,7 @@
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 
-int main(int argc, char** argv) {
+static int run_example(int argc, char** argv) {
   using namespace sfc;
 
   util::ArgParser args("fmm_solver",
@@ -33,8 +33,8 @@ int main(int argc, char** argv) {
 
   const auto n = static_cast<std::size_t>(args.i64("charges"));
   fmm::FmmSolverConfig cfg;
-  cfg.tree_level = static_cast<unsigned>(args.i64("tree-level"));
-  cfg.terms = static_cast<unsigned>(args.i64("terms"));
+  cfg.tree_level = args.u32("tree-level");
+  cfg.terms = args.u32("terms");
 
   util::Xoshiro256pp rng(static_cast<std::uint64_t>(args.i64("seed")));
   std::vector<fmm::Charge> charges;
@@ -84,4 +84,8 @@ int main(int argc, char** argv) {
               << "max relative error vs direct: " << err / scale << "\n";
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sfc::util::run_main(argc, argv, run_example);
 }

@@ -11,7 +11,7 @@
 #include "util/cli.hpp"
 #include "util/rng.hpp"
 
-int main(int argc, char** argv) {
+static int run_example(int argc, char** argv) {
   using namespace sfc;
 
   util::ArgParser args("nbody_sim", "leapfrog n-body over the FMM solver");
@@ -32,13 +32,13 @@ int main(int argc, char** argv) {
   }
 
   const auto n = static_cast<std::size_t>(args.i64("bodies"));
-  const auto steps = static_cast<unsigned>(args.i64("steps"));
+  const auto steps = args.u32("steps");
 
   fmm::NbodyConfig cfg;
   cfg.dt = args.f64("dt");
   cfg.use_fmm = !args.flag("direct");
-  cfg.fmm.terms = static_cast<unsigned>(args.i64("terms"));
-  cfg.fmm.tree_level = static_cast<unsigned>(args.i64("tree-level"));
+  cfg.fmm.terms = args.u32("terms");
+  cfg.fmm.tree_level = args.u32("tree-level");
 
   // A Plummer-like central cluster with small virial velocities.
   util::Xoshiro256pp rng(static_cast<std::uint64_t>(args.i64("seed")));
@@ -86,4 +86,8 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(c.m2m),
       static_cast<unsigned long long>(c.l2l));
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sfc::util::run_main(argc, argv, run_example);
 }

@@ -15,7 +15,7 @@
 #include "topology/factory.hpp"
 #include "util/cli.hpp"
 
-int main(int argc, char** argv) {
+static int run_example(int argc, char** argv) {
   using namespace sfc;
 
   util::ArgParser args("primitives_acd",
@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
     std::cout << args.usage();
     return 0;
   }
-  const auto procs = static_cast<topo::Rank>(args.i64("procs"));
+  const auto procs = args.u32("procs");
 
   // --- Part 1: primitive x topology (Hilbert ranking on mesh/torus).
   const auto hilbert = make_curve<2>(CurveKind::kHilbert);
@@ -75,4 +75,8 @@ int main(int argc, char** argv) {
                "ordering — compare the Hilbert and Row-Major columns — "
                "while all-to-all is ordering-invariant.\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return sfc::util::run_main(argc, argv, run_example);
 }

@@ -41,7 +41,7 @@ def run_micro_model(binary, min_time, repetitions, smoke):
     used, which suppresses scheduler/frequency jitter on shared machines."""
     cmd = [
         binary,
-        "--benchmark_filter=Aggregated|Direct|NfiHistogramSparse",
+        "--benchmark_filter=Aggregated|Direct|HistogramSparse",
         "--benchmark_format=json",
     ]
     if smoke:
@@ -311,7 +311,7 @@ def run_ext_dynamics(build_dir, smoke):
     DynamicAcd engine along a drift trajectory (5% of particles per
     step), asserting each step's incremental totals are bit-identical to
     a full recompute, and attaches the median per-step speedup. Smoke
-    runs the reduced preset (20k particles, p=256, dense accumulators);
+    runs the reduced preset (20k particles, p=256);
     the full run uses the sparse-regime preset (250k, p=4096) where the
     delta path's netting matters most."""
     binary = os.path.join(build_dir, "bench", "ext_dynamics")
@@ -697,13 +697,19 @@ def main():
             "speedup": d / a if a and d else None,
         }
 
-    # The sparse NFI build at Table I's shape (p = 65536 is past the
-    # dense budget): recorded next to the p = 256 figures, not gated.
+    # The NFI and FFI builds at the Table I/II shape (p = 65536, where the
+    # histogram builder takes its source-row path): recorded next to the
+    # p = 256 figures, not gated.
     nfi_sparse = {}
     sparse = entries.get("BM_NfiHistogramSparse")
     if sparse:
         nfi_sparse = {"particles": 250000, "level": 10, "procs": 65536,
                       "radius": 1, "ns_per_event": ns_per_pair(sparse)}
+    ffi_sparse = {}
+    sparse = entries.get("BM_FfiHistogramSparse")
+    if sparse:
+        ffi_sparse = {"particles": 250000, "level": 10, "procs": 65536,
+                      "ns_per_event": ns_per_pair(sparse)}
 
     result = {
         "benchmark": "acd_rank_pair_aggregation",
@@ -718,6 +724,7 @@ def main():
         "build": build,
         "nfi": nfi,
         "nfi_sparse": nfi_sparse,
+        "ffi_sparse": ffi_sparse,
         "ffi": ffi,
     }
 
@@ -826,6 +833,9 @@ def main():
     if nfi_sparse.get("ns_per_event"):
         print(f"  nfi/sparse p={nfi_sparse['procs']}: "
               f"{nfi_sparse['ns_per_event']:.2f} ns/event")
+    if ffi_sparse.get("ns_per_event"):
+        print(f"  ffi/sparse p={ffi_sparse['procs']}: "
+              f"{ffi_sparse['ns_per_event']:.2f} ns/event")
     if ffi and ffi.get("speedup"):
         print(f"  ffi: {ffi['aggregated_ns_per_pair']:.2f} ns/pair aggregated "
               f"vs {ffi['direct_ns_per_pair']:.2f} direct "

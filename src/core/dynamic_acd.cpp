@@ -39,16 +39,16 @@ void DynamicAcd<D>::build() {
   // incremental algebra instead needs every per-pair count to stay
   // individually consistent under retraction, and by hop-distance
   // symmetry both representations fold to identical totals.
-  nfi_acc_ = RankPairAccumulator(procs_);
   const std::int32_t* cells = grid_.dense_cells();
   const std::int64_t r = opts_.radius;
   const bool cheb = opts_.norm == fmm::NeighborNorm::kChebyshev;
-  for (std::size_t i = 0; i < positions_.size(); ++i) {
-    const topo::Rank src = owners_[i];
-    fmm::visit_window_neighbors<D>(
-        grid_, cells, positions_[i], r, cheb,
-        [&](std::size_t j) { nfi_acc_.add(src, owners_[j]); });
-  }
+  nfi_acc_ = build_rank_pairs(
+      procs_, owners_.data(), positions_.size(),
+      [&](std::size_t i, auto&& push) {
+        fmm::visit_window_neighbors<D>(
+            grid_, cells, positions_[i], r, cheb,
+            [&](std::size_t j) { push(owners_[j]); });
+      });
 
   // FFI: ffi_histograms already records the true directed multiset
   // (every interpolation and interaction-list event once, from its
@@ -79,10 +79,8 @@ void DynamicAcd<D>::rebuild() {
 }
 
 template <int D>
-template <class Sink>
-void DynamicAcd<D>::nfi_scan(Sink& acc,
-                             const std::vector<ParticleMove<D>>& movers,
-                             bool retract) {
+void DynamicAcd<D>::nfi_phase(const std::vector<ParticleMove<D>>& movers,
+                              bool retract) {
   const std::int32_t* cells = grid_.dense_cells();
   const std::int64_t r = opts_.radius;
   const bool cheb = opts_.norm == fmm::NeighborNorm::kChebyshev;
@@ -100,25 +98,13 @@ void DynamicAcd<D>::nfi_scan(Sink& acc,
         grid_, cells, positions_[m], r, cheb, [&](std::size_t j) {
           const topo::Rank sj = owners_[j];
           if (retract) {
-            if (!faulted) acc.sub(sm, sj);
-            if (!mover_flag_[j]) acc.sub(sj, sm);
+            if (!faulted) nfi_deltas_.sub(sm, sj);
+            if (!mover_flag_[j]) nfi_deltas_.sub(sj, sm);
           } else {
-            acc.add(sm, sj);
-            if (!mover_flag_[j]) acc.add(sj, sm);
+            nfi_deltas_.add(sm, sj);
+            if (!mover_flag_[j]) nfi_deltas_.add(sj, sm);
           }
         });
-  }
-}
-
-template <int D>
-void DynamicAcd<D>::nfi_phase(const std::vector<ParticleMove<D>>& movers,
-                              bool retract) {
-  if (nfi_acc_.dense()) {
-    nfi_scan(nfi_acc_, movers, retract);
-  } else {
-    // Sparse mode: net the phase's events in the scratch instead of
-    // staging every raw event for a compaction sort.
-    nfi_scan(nfi_deltas_, movers, retract);
   }
 }
 
@@ -192,20 +178,8 @@ void DynamicAcd<D>::ffi_snapshot(
 template <int D>
 void DynamicAcd<D>::ffi_diff(
     const std::vector<std::unordered_set<std::uint64_t>>& touched) {
-  if (ffi_.interpolation.dense() && ffi_.interaction.dense()) {
-    ffi_diff_walk(touched, ffi_.interpolation, ffi_.interaction);
-  } else {
-    // Sparse mode: net the batch's events in the scratches instead of
-    // staging every raw event for a compaction sort.
-    ffi_diff_walk(touched, ffi_interp_deltas_, ffi_inter_deltas_);
-  }
-}
-
-template <int D>
-template <class Sink>
-void DynamicAcd<D>::ffi_diff_walk(
-    const std::vector<std::unordered_set<std::uint64_t>>& touched,
-    Sink& interp, Sink& inter) {
+  PairDeltas& interp = ffi_interp_deltas_;
+  PairDeltas& inter = ffi_inter_deltas_;
   // One post-update walk over the touched sets emits each affected FFI
   // event as a retract/assert pair: subtract it with the pre-move owners
   // (ffi_snapshot for touched cells, the live tree for untouched ones —
@@ -385,9 +359,9 @@ void DynamicAcd<D>::move_particles(std::span<const ParticleMove<D>> moves) {
   nfi_phase(movers, /*retract=*/false);
   ffi_diff(touched);
 
-  // Net the batch's deltas into the live histograms (no-ops for the
-  // sinks the dense paths wrote directly). Folds between batches must
-  // see fully-applied state, so the scratches never persist past here.
+  // Net the batch's deltas into the live histograms. Folds between
+  // batches must see fully-applied state, so the scratches never persist
+  // past here.
   nfi_deltas_.flush_into(nfi_acc_);
   ffi_interp_deltas_.flush_into(ffi_.interpolation);
   ffi_inter_deltas_.flush_into(ffi_.interaction);

@@ -142,18 +142,11 @@ class DynamicAcd {
   void build();
   void rebuild();
   void nfi_phase(const std::vector<ParticleMove<D>>& movers, bool retract);
-  template <class Sink>  // RankPairAccumulator or PairDeltas
-  void nfi_scan(Sink& acc, const std::vector<ParticleMove<D>>& movers,
-                bool retract);
   std::vector<std::unordered_set<std::uint64_t>> touched_cells(
       const std::vector<ParticleMove<D>>& movers) const;
   void ffi_snapshot(
       const std::vector<std::unordered_set<std::uint64_t>>& touched);
   void ffi_diff(const std::vector<std::unordered_set<std::uint64_t>>& touched);
-  template <class Sink>  // RankPairAccumulator or PairDeltas
-  void ffi_diff_walk(
-      const std::vector<std::unordered_set<std::uint64_t>>& touched,
-      Sink& interp, Sink& inter);
   std::uint32_t pre_owner(unsigned level, std::uint64_t key) const;
   bool is_touched(
       const std::vector<std::unordered_set<std::uint64_t>>& touched,
@@ -178,11 +171,10 @@ class DynamicAcd {
   // Per-batch (src, dst) delta scratches, flushed into the histograms at
   // the end of every move_particles call (empty between batches). The
   // delta walks hit the same few rank pairs thousands of times per step;
-  // netting them here first keeps the sparse accumulators' staging
+  // netting them here first keeps the accumulators' staging
   // buffers — and their compaction sorts — off the incremental hot path,
   // and lets a retract/assert pair with unchanged owners vanish without
-  // ever reaching the histogram. NFI uses its scratch only in sparse
-  // mode (dense adds are a single array update).
+  // ever reaching the histogram.
   PairDeltas nfi_deltas_;
   PairDeltas ffi_interp_deltas_;
   PairDeltas ffi_inter_deltas_;

@@ -6,18 +6,8 @@
 
 namespace sfc::core {
 
-RankPairAccumulator::RankPairAccumulator(topo::Rank procs,
-                                         std::size_t dense_budget)
-    : p_(procs),
-      is_dense_(static_cast<std::size_t>(procs) * procs <= dense_budget) {
-  if (is_dense_) {
-    dense_.assign(static_cast<std::size_t>(p_) * p_, 0u);
-  }
-}
-
 RankPairAccumulator RankPairAccumulator::from_sorted(
-    topo::Rank procs,
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> pairs) {
+    topo::Rank procs, std::vector<Entry> pairs) {
 #ifndef NDEBUG
   const std::uint64_t p2 = static_cast<std::uint64_t>(procs) * procs;
   for (std::size_t i = 0; i < pairs.size(); ++i) {
@@ -25,14 +15,14 @@ RankPairAccumulator RankPairAccumulator::from_sorted(
     assert(i == 0 || pairs[i - 1].first < pairs[i].first);
   }
 #endif
-  RankPairAccumulator acc(procs, /*dense_budget=*/0);
+  RankPairAccumulator acc(procs);
   acc.sorted_ = std::move(pairs);
   acc.seal();
   return acc;
 }
 
-void RankPairAccumulator::add_sparse(topo::Rank src, topo::Rank dst,
-                                     std::uint64_t count) {
+void RankPairAccumulator::stage(topo::Rank src, topo::Rank dst,
+                                std::uint64_t count) {
   staging_.emplace_back(static_cast<std::uint64_t>(src) * p_ + dst, count);
   if (staging_.size() >= kStagingCap) compact();
 }
@@ -41,7 +31,7 @@ void RankPairAccumulator::compact() const {
   if (staging_.empty()) return;
   std::sort(staging_.begin(), staging_.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> merged;
+  std::vector<Entry> merged;
   merged.reserve(sorted_.size() + staging_.size());
   std::size_t i = 0, j = 0;
   auto push = [&merged](std::uint64_t key, std::uint64_t count) {
@@ -74,11 +64,10 @@ void RankPairAccumulator::compact() const {
 }
 
 void RankPairAccumulator::seal() const {
-  if (is_dense_) return;
   compact();
   // Guarded, so sealing a sealed histogram writes nothing.
   if (staging_.capacity() != 0) {
-    std::vector<std::pair<std::uint64_t, std::uint64_t>>().swap(staging_);
+    std::vector<Entry>().swap(staging_);
   }
   if (sorted_.capacity() != sorted_.size()) sorted_.shrink_to_fit();
 }
@@ -93,25 +82,10 @@ RankPairAccumulator& RankPairAccumulator::operator+=(
 
 CommTotals RankPairAccumulator::fold(const topo::DistanceTable& table) const {
   CommTotals totals;
-  if (is_dense_) {
-    std::size_t k = 0;
-    for (topo::Rank a = 0; a < p_; ++a) {
-      const std::uint32_t* row = table.row(a);
-      for (topo::Rank b = 0; b < p_; ++b, ++k) {
-        const std::uint64_t c = dense_[k];
-        if (c == 0) continue;
-        totals.hops += c * row[b];
-        totals.count += c;
-      }
-    }
-    return totals;
-  }
-  compact();
-  for (const auto& [key, count] : sorted_) {
-    totals.hops += count * table(static_cast<std::uint32_t>(key / p_),
-                                 static_cast<std::uint32_t>(key % p_));
+  for_each([&totals, &table](topo::Rank a, topo::Rank b, std::uint64_t count) {
+    totals.hops += count * table(a, b);
     totals.count += count;
-  }
+  });
   return totals;
 }
 
@@ -146,7 +120,7 @@ void rank_pairs_serialize(const RankPairAccumulator& acc,
                           std::vector<std::uint8_t>& out) {
   acc.seal();
   append_u64(out, acc.procs());
-  append_u64(out, acc.dense() ? 1 : 0);
+  append_u64(out, 0);
   std::uint64_t pairs = 0;
   acc.for_each([&pairs](topo::Rank, topo::Rank, std::uint64_t) { ++pairs; });
   append_u64(out, pairs);
@@ -166,45 +140,29 @@ std::optional<RankPairAccumulator> rank_pairs_deserialize(
       !read_u64(data, size, offset, pairs)) {
     return std::nullopt;
   }
+  // Mode 1 marks a record written when small histograms were stored as
+  // p² arrays; its payload is the same key-ordered pair list.
   if (procs == 0 || procs > 0xffffffffull || mode > 1) return std::nullopt;
   if (pairs > (size - offset) / 16) return std::nullopt;
-  const bool dense = mode == 1;
   const std::uint64_t p2 = procs * procs;
-  // A dense record implies the producer held the p² array, and every
-  // producer of stored histograms builds it under the default budget
-  // (only tests enlarge it, and they do not persist) — so a dense record
-  // beyond kDenseEntryBudget is forged, and decoding it would allocate
-  // whatever p² the bytes claim.
-  if (dense && p2 > RankPairAccumulator::kDenseEntryBudget) {
-    return std::nullopt;
-  }
-  const auto p = static_cast<topo::Rank>(procs);
   // The serializer writes nonzero counts in strictly increasing key
-  // order, so a sparse record is already the sorted list: no sort, no
-  // merge. A dense record fills a zeroed p² array, one add per pair.
-  RankPairAccumulator acc(p, dense ? static_cast<std::size_t>(p2) : 0);
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> sorted;
-  if (!dense) sorted.reserve(static_cast<std::size_t>(pairs));
-  std::uint64_t prev = 0;
+  // order, so the record is already the sorted list: no sort, no merge.
+  std::vector<RankPairAccumulator::Entry> sorted;
+  sorted.reserve(static_cast<std::size_t>(pairs));
   for (std::uint64_t i = 0; i < pairs; ++i) {
     std::uint64_t key = 0, count = 0;
     if (!read_u64(data, size, offset, key) ||
         !read_u64(data, size, offset, count)) {
       return std::nullopt;
     }
-    if (key >= p2 || count == 0 || (i != 0 && key <= prev)) {
+    if (key >= p2 || count == 0 ||
+        (!sorted.empty() && key <= sorted.back().first)) {
       return std::nullopt;
     }
-    prev = key;
-    if (dense) {
-      acc.add(static_cast<topo::Rank>(key / procs),
-              static_cast<topo::Rank>(key % procs), count);
-    } else {
-      sorted.emplace_back(key, count);
-    }
+    sorted.emplace_back(key, count);
   }
-  if (dense) return acc;
-  return RankPairAccumulator::from_sorted(p, std::move(sorted));
+  return RankPairAccumulator::from_sorted(static_cast<topo::Rank>(procs),
+                                          std::move(sorted));
 }
 
 std::uint64_t RankPairAccumulator::events() const {

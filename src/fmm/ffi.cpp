@@ -125,95 +125,56 @@ core::CommTotals il_level(const CellTree<D>& tree, const Partition& part,
   return totals;
 }
 
-/// Histogram the (child owner, parent owner) interpolation pairs of
-/// level `l` into `acc`.
-template <int D>
-void interp_level_into(const CellTree<D>& tree, const topo::Rank* own,
-                       core::RankPairAccumulator& acc, unsigned l) {
-  const auto& parents = tree.cells(l - 1);
-  // Cells are key-sorted and parent_key is a shift, so parent keys are
-  // non-decreasing across the level: a cursor into the parent level
-  // advances in lockstep — no per-cell table lookup. (The parent of an
-  // occupied cell is always occupied, so the cursor always lands on a
-  // match.)
-  std::size_t j = 0;
-  for (const auto& cell : tree.cells(l)) {
-    const std::uint64_t pk = parent_key<D>(cell.key);
-    while (parents[j].key != pk) ++j;
-    acc.add(own[cell.min_particle], own[parents[j].min_particle]);
-  }
-}
-
-/// Histogram the (source owner, cell owner) interaction-list pairs of
-/// level `l` into `acc`. The candidate cells stream straight from the
+/// Push the owner of every occupied cell in the interaction list of
+/// `cell` (level `l` >= 2). The candidate cells stream straight from the
 /// offset odometer into the key lookup — no materialized interaction
 /// list, no per-cell allocation.
-template <int D>
-void il_level_into(const CellTree<D>& tree, const topo::Rank* own,
-                   core::RankPairAccumulator& acc, unsigned l) {
-  const auto& cells = tree.cells(l);
-  // Dense-mode fast path: hoist the count-array base so each event is a
-  // single indexed increment (row(0) is the array base; src varies per
-  // event, so hoisting one row would not help). Sparse mode keeps add().
-  std::uint64_t* const counts = acc.row(0);
-  const std::size_t p = acc.procs();
-  const std::int64_t side = 1ll << (l - 1);
+template <int D, typename Push>
+void interaction_owners(const CellTree<D>& tree, const topo::Rank* own,
+                        unsigned l, std::uint64_t key, Push&& push) {
   // Child-digit decode: Morton digit d's child of pn sits at
-  // 2·pn + kChild[d], and its key is (key(pn) << D) | d — so the inner
-  // loop pays zero per-candidate interleaves.
-  Point<D> child_off[1u << D];
-  for (std::uint32_t d = 0; d < (1u << D); ++d) {
-    child_off[d] = morton_point<D>(d);
-  }
-  for (const auto& cell : cells) {
-    const Point<D> c = morton_point<D>(cell.key);
-    const Point<D> par = parent_cell(c);
-    const topo::Rank owner = own[cell.min_particle];
-    // Odometer over the parent's neighbors. Two prunes the reference
-    // path skips, neither of which changes the event multiset: the zero
-    // offset (the cell's own siblings, all Chebyshev-adjacent) and the
-    // children of *unoccupied* parent neighbors — one parent lookup in
-    // place of 2^D guaranteed-miss child lookups.
-    std::int64_t off[4];  // D <= 4 (static_assert in Point)
-    for (int k = 0; k < D; ++k) off[k] = -1;
-    for (;;) {
-      bool in = true;
-      bool zero = true;
-      Point<D> pn{};
-      for (int k = 0; k < D; ++k) {
-        const std::int64_t v = static_cast<std::int64_t>(par[k]) + off[k];
-        if (v < 0 || v >= side) {
-          in = false;
-          break;
-        }
-        if (off[k] != 0) zero = false;
-        pn[k] = static_cast<std::uint32_t>(v);
+  // 2·pn + (bit k of d along axis k), and its key is (key(pn) << D) | d —
+  // so the inner loop pays zero per-candidate interleaves.
+  const std::int64_t side = 1ll << (l - 1);
+  const Point<D> c = morton_point<D>(key);
+  const Point<D> par = parent_cell(c);
+  // Odometer over the parent's neighbors. Two prunes the reference path
+  // skips, neither of which changes the event multiset: the zero offset
+  // (the cell's own siblings, all Chebyshev-adjacent) and the children
+  // of *unoccupied* parent neighbors — one parent lookup in place of 2^D
+  // guaranteed-miss child lookups.
+  std::int64_t off[4];  // D <= 4 (static_assert in Point)
+  for (int k = 0; k < D; ++k) off[k] = -1;
+  for (;;) {
+    bool in = true;
+    bool zero = true;
+    Point<D> pn{};
+    for (int k = 0; k < D; ++k) {
+      const std::int64_t v = static_cast<std::int64_t>(par[k]) + off[k];
+      if (v < 0 || v >= side) {
+        in = false;
+        break;
       }
-      if (in && !zero) {
-        const std::uint64_t pn_key = cell_key(pn);
-        if (tree.find(l - 1, pn_key) >= 0) {
-          for (std::uint32_t d = 0; d < (1u << D); ++d) {
-            Point<D> child{};
-            for (int k = 0; k < D; ++k) {
-              child[k] = (pn[k] << 1) | child_off[d][k];
-            }
-            if (chebyshev(child, c) <= 1) continue;
-            const auto idx = tree.find(l, (pn_key << D) | d);
-            if (idx < 0) continue;  // unoccupied cells do not communicate
-            const auto& dc = cells[static_cast<std::size_t>(idx)];
-            if (counts != nullptr) {
-              ++counts[own[dc.min_particle] * p + owner];
-            } else {
-              acc.add(own[dc.min_particle], owner);
-            }
-          }
-        }
-      }
-      int k = 0;
-      while (k < D && off[k] == 1) off[k++] = -1;
-      if (k == D) break;
-      ++off[k];
+      if (off[k] != 0) zero = false;
+      pn[k] = static_cast<std::uint32_t>(v);
     }
+    if (in && !zero) {
+      const std::uint64_t pn_key = cell_key(pn);
+      if (tree.find(l - 1, pn_key) >= 0) {
+        for (std::uint32_t d = 0; d < (1u << D); ++d) {
+          Point<D> child{};
+          for (int k = 0; k < D; ++k) child[k] = (pn[k] << 1) | ((d >> k) & 1u);
+          if (chebyshev(child, c) <= 1) continue;
+          const auto idx = tree.find(l, (pn_key << D) | d);
+          if (idx < 0) continue;  // unoccupied cells do not communicate
+          push(own[tree.cells(l)[static_cast<std::size_t>(idx)].min_particle]);
+        }
+      }
+    }
+    int k = 0;
+    while (k < D && off[k] == 1) off[k++] = -1;
+    if (k == D) break;
+    ++off[k];
   }
 }
 
@@ -232,18 +193,55 @@ template <int D>
 FfiHistograms ffi_histograms(const CellTree<D>& tree, const Partition& part) {
   const std::vector<topo::Rank> owners = part.owner_table();
   const topo::Rank* own = owners.data();
-  FfiHistograms h(part.processors());
-  {
-    const obs::Span span("ffi/interpolation");
-    for (unsigned l = 1; l <= tree.finest_level(); ++l) {
-      interp_level_into<D>(tree, own, h.interpolation, l);
-    }
+  const topo::Rank procs = part.processors();
+  const unsigned finest = tree.finest_level();
+  // The items of both families: the cells of levels >= 1, level by level
+  // in key order; level l's cells start at item first[l].
+  std::vector<std::size_t> first(finest + 2, 0);
+  for (unsigned l = 1; l <= finest; ++l) {
+    first[l + 1] = first[l] + tree.cells(l).size();
   }
+  const std::size_t items = first[finest + 1];
+  // Item i sits at level_of(i), index i - first[level_of(i)].
+  const auto level_of = [&first](std::size_t i) {
+    return static_cast<unsigned>(
+        std::upper_bound(first.begin() + 1, first.end(), i) - first.begin() -
+        1);
+  };
+  std::vector<topo::Rank> src(items);
+  for (unsigned l = 1; l <= finest; ++l) {
+    std::size_t i = first[l];
+    for (const auto& cell : tree.cells(l)) src[i++] = own[cell.min_particle];
+  }
+  FfiHistograms h(procs);
   {
+    // Interpolation: each cell sends to its parent's owner. (The parent
+    // of an occupied cell is always occupied.)
+    const obs::Span span("ffi/interpolation");
+    h.interpolation = core::build_rank_pairs(
+        procs, src.data(), items, [&](std::size_t i, auto&& push) {
+          const unsigned l = level_of(i);
+          const auto parent = tree.find(
+              l - 1, parent_key<D>(tree.cells(l)[i - first[l]].key));
+          push(own[tree.cells(l - 1)[static_cast<std::size_t>(parent)]
+                       .min_particle]);
+        });
+  }
+  if (finest >= 2) {
+    // Interaction: cell c receives from each occupied d in IL(c), the
+    // event (owner(d), owner(c)). IL membership is symmetric — d is in
+    // IL(c) exactly when c is in IL(d) — so the same multiset is
+    // (owner(c), owner(d)) over the same pairs, and each cell's row is
+    // keyed by its own owner.
     const obs::Span span("ffi/interaction");
-    for (unsigned l = 2; l <= tree.finest_level(); ++l) {
-      il_level_into<D>(tree, own, h.interaction, l);
-    }
+    const std::size_t base = first[2];
+    h.interaction = core::build_rank_pairs(
+        procs, src.data() + base, items - base,
+        [&](std::size_t i, auto&& push) {
+          const unsigned l = level_of(base + i);
+          interaction_owners<D>(tree, own, l,
+                                tree.cells(l)[base + i - first[l]].key, push);
+        });
   }
   return h;
 }

@@ -1,6 +1,5 @@
 #include "fmm/nfi.hpp"
 
-#include <algorithm>
 #include <cstdint>
 #include <utility>
 
@@ -174,67 +173,6 @@ void with_event_scan(const std::vector<Point<D>>& particles,
   body(scan, std::uint64_t{1});
 }
 
-/// Dense mode: increment the source row's counts in place.
-template <typename Scan>
-void nfi_rows_dense(std::size_t n, const topo::Rank* own, Scan&& scan,
-                    std::uint64_t weight, core::RankPairAccumulator& acc) {
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint64_t* row = acc.row(own[i]);
-    scan(i, [&](std::size_t j) { row[own[j]] += weight; });
-  }
-}
-
-/// Particle indices grouped by owner rank: ranks ascending, array order
-/// within a rank. A counting sort, O(n + p): its p-entry bucket array is
-/// half the size of the per-rank coordinate table a p-rank topology
-/// already holds.
-std::vector<std::uint32_t> bucket_by_owner(const topo::Rank* own,
-                                           std::size_t n, topo::Rank procs) {
-  std::vector<std::uint32_t> next(procs, 0);
-  for (std::size_t i = 0; i < n; ++i) ++next[own[i]];
-  std::uint32_t sum = 0;
-  for (std::uint32_t& c : next) sum += std::exchange(c, sum);
-  std::vector<std::uint32_t> out(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out[next[own[i]]++] = static_cast<std::uint32_t>(i);
-  }
-  return out;
-}
-
-/// Sparse mode, one source row at a time: walk the source ranks in
-/// increasing order, collect each row's destinations, sort them and
-/// run-length them into (src·p + dst, count) pairs. Rows arrive in key
-/// order, so the pair list is the sealed histogram as built — no staging
-/// buffer and no compaction sort. A row holds only the few destinations
-/// its SFC chunk's surface touches, so its sort is tiny.
-template <typename Scan>
-core::RankPairAccumulator nfi_rows_sparse(std::size_t n,
-                                          const topo::Rank* own,
-                                          topo::Rank procs, Scan&& scan,
-                                          std::uint64_t weight) {
-  const std::vector<std::uint32_t> by_owner = bucket_by_owner(own, n, procs);
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> pairs;
-  pairs.reserve(n);  // about one pair per particle at r = 1; seal() trims
-  std::vector<topo::Rank> dsts;
-  for (std::size_t k = 0; k < n;) {
-    const topo::Rank src = own[by_owner[k]];
-    dsts.clear();
-    for (; k < n && own[by_owner[k]] == src; ++k) {
-      scan(by_owner[k], [&](std::size_t j) { dsts.push_back(own[j]); });
-    }
-    std::sort(dsts.begin(), dsts.end());
-    const std::size_t m = dsts.size();
-    const std::uint64_t base = static_cast<std::uint64_t>(src) * procs;
-    for (std::size_t a = 0; a < m;) {
-      std::size_t b = a + 1;
-      while (b < m && dsts[b] == dsts[a]) ++b;
-      pairs.emplace_back(base + dsts[a], (b - a) * weight);
-      a = b;
-    }
-  }
-  return core::RankPairAccumulator::from_sorted(procs, std::move(pairs));
-}
-
 }  // namespace
 
 template <int D>
@@ -243,17 +181,16 @@ core::RankPairAccumulator nfi_histogram_owners(
     const std::vector<topo::Rank>& owners, topo::Rank procs, unsigned radius,
     NeighborNorm norm) {
   const obs::Span span("nfi/enumerate");
+  const topo::Rank* own = owners.data();
   core::RankPairAccumulator acc(procs);
   with_event_scan<D>(particles, grid, radius, norm,
                      [&](auto&& scan, std::uint64_t weight) {
-                       if (acc.dense()) {
-                         nfi_rows_dense(particles.size(), owners.data(), scan,
-                                        weight, acc);
-                       } else {
-                         acc = nfi_rows_sparse(particles.size(),
-                                               owners.data(), procs, scan,
-                                               weight);
-                       }
+                       acc = core::build_rank_pairs(
+                           procs, own, particles.size(),
+                           [&](std::size_t i, auto&& push) {
+                             scan(i, [&](std::size_t j) { push(own[j]); });
+                           },
+                           weight);
                      });
   return acc;
 }

@@ -61,13 +61,10 @@ core::RankPairAccumulator nfi_histogram(
 /// order, p, radius, norm) and folds it against every topology and
 /// processor order that shares those inputs.
 ///
-/// Dense mode (p² within the budget) increments each source row in
-/// place. Sparse mode builds the histogram one source row at a time: the
-/// particles are bucketed by owner, each rank's destinations are
-/// collected, sorted and run-length encoded, and the rows arrive in key
-/// order — so the result comes back sealed through
-/// RankPairAccumulator::from_sorted, with no staging buffer and no
-/// compaction sort. Both modes hold the identical pair list.
+/// The particles are the items of core::build_rank_pairs: particle i
+/// is sent from owners[i] and pushes the owners of its window
+/// neighbors, so the histogram comes back sealed and key-ordered, with
+/// no staging buffer and no compaction sort.
 template <int D>
 core::RankPairAccumulator nfi_histogram_owners(
     const std::vector<Point<D>>& particles, const OccupancyGrid<D>& grid,

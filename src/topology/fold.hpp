@@ -10,7 +10,10 @@
 // (per-axis delta histograms, popcount buckets, LCA depths) and never
 // materialize p×p state, so studies run at p = 2^20 and beyond in O(p)
 // memory. The dense table survives only as an internal strategy for
-// topologies without structure (small explicit graphs).
+// topologies without structure (small explicit graphs). The histogram
+// has one shape at every p — core::RankPairAccumulator's key-sorted
+// (src·p + dst, count) list of distinct pairs — so every kernel costs
+// O(distinct pairs), never O(p²), on the histogram side.
 //
 // Every strategy computes the exact same uint64 sums — integer addition
 // commutes and multiplication distributes — so folds are bit-identical
@@ -29,8 +32,8 @@ namespace sfc::topo {
 
 using Rank = std::uint32_t;  // redeclared here to keep this header light
 
-/// How a topology executes a fold. Exposed for cache keys, the obs
-/// counters (topo.fold.*), and the accumulator's dense/sparse pick.
+/// How a topology executes a fold. Exposed for cache keys and the obs
+/// counters (topo.fold.*).
 enum class FoldStrategy {
   kDense,       ///< build/reuse the p×p hop table, multiply-accumulate
   kFactorized,  ///< closed-form kernel over per-structure histograms
@@ -40,40 +43,23 @@ enum class FoldStrategy {
 std::string_view fold_strategy_name(FoldStrategy s) noexcept;
 
 /// Non-owning view of a (src rank, dst rank) → count histogram, the sole
-/// input of Topology::fold(). Two storage shapes cover both accumulator
-/// modes: a dense row-major p×p count array, or entries of
-/// (key = a·p + b, count) sorted by key. An optional rank remap lets
+/// input of Topology::fold(): entries of (key = a·p + b, count) with
+/// nonzero counts, sorted by key. An optional rank remap lets
 /// permutation views (RelabeledTopology) redirect a fold to their base
 /// topology without copying the histogram.
 class PairCountsView {
  public:
   using Entry = std::pair<std::uint64_t, std::uint64_t>;
 
-  static PairCountsView dense(Rank procs,
-                              const std::uint64_t* counts) noexcept {
-    PairCountsView v;
-    v.procs_ = procs;
-    v.dense_ = counts;
-    return v;
-  }
-
-  static PairCountsView sparse(Rank procs, const Entry* entries,
-                               std::size_t size) noexcept {
-    PairCountsView v;
-    v.procs_ = procs;
-    v.entries_ = entries;
-    v.size_ = size;
-    return v;
-  }
+  PairCountsView(Rank procs, const Entry* entries, std::size_t size) noexcept
+      : procs_(procs), entries_(entries), size_(size) {}
 
   Rank procs() const noexcept { return procs_; }
-  bool is_dense() const noexcept { return dense_ != nullptr; }
   const Rank* remap() const noexcept { return remap_; }
 
-  /// Upper bound on distinct nonzero pairs (exact in sparse mode).
-  std::size_t distinct_pairs_bound() const noexcept {
-    return is_dense() ? static_cast<std::size_t>(procs_) * procs_ : size_;
-  }
+  /// Distinct nonzero pairs (the name predates the one representation,
+  /// when a dense view could only bound them by p²).
+  std::size_t distinct_pairs_bound() const noexcept { return size_; }
 
   /// A copy of this view whose emitted ranks pass through `map` (size
   /// >= procs()). Composition on an already-remapped view is the
@@ -92,22 +78,12 @@ class PairCountsView {
     return v;
   }
 
-  /// Invoke fn(src, dst, count) for every pair with a nonzero count, in
-  /// ascending (src, dst) order of the *stored* ranks (a remap permutes
-  /// the emitted ranks but not the iteration order).
+  /// Invoke fn(src, dst, count) for every pair, in ascending (src, dst)
+  /// order of the *stored* ranks (a remap permutes the emitted ranks but
+  /// not the iteration order).
   template <typename Fn>
   void for_each(Fn&& fn) const {
     const Rank* m = remap_;
-    if (dense_ != nullptr) {
-      std::size_t k = 0;
-      for (Rank a = 0; a < procs_; ++a) {
-        const Rank ma = m != nullptr ? m[a] : a;
-        for (Rank b = 0; b < procs_; ++b, ++k) {
-          if (dense_[k] != 0) fn(ma, m != nullptr ? m[b] : b, dense_[k]);
-        }
-      }
-      return;
-    }
     for (std::size_t i = 0; i < size_; ++i) {
       const Rank a = static_cast<Rank>(entries_[i].first / procs_);
       const Rank b = static_cast<Rank>(entries_[i].first % procs_);
@@ -121,8 +97,7 @@ class PairCountsView {
 
  private:
   Rank procs_ = 0;
-  const std::uint64_t* dense_ = nullptr;  // dense mode: p×p row-major
-  const Entry* entries_ = nullptr;        // sparse mode: sorted by key
+  const Entry* entries_ = nullptr;
   std::size_t size_ = 0;
   const Rank* remap_ = nullptr;
 };

@@ -53,21 +53,6 @@ core::CommTotals Topology::fold_pairs(const PairCountsView& pairs) const {
 core::CommTotals Topology::fold_with_table(const PairCountsView& pairs) const {
   const DistanceTable& t = dense_table();
   core::CommTotals totals;
-  if (pairs.is_dense() && pairs.remap() == nullptr) {
-    // Dense histogram against dense table: one row-major sweep with the
-    // table row hoisted.
-    pairs.for_each([&totals, &t, row_rank = Rank(~0u),
-                    row = static_cast<const std::uint32_t*>(nullptr)](
-                       Rank a, Rank b, std::uint64_t c) mutable {
-      if (a != row_rank) {
-        row_rank = a;
-        row = t.row(a);
-      }
-      totals.hops += c * row[b];
-      totals.count += c;
-    });
-    return totals;
-  }
   pairs.for_each([&totals, &t](Rank a, Rank b, std::uint64_t c) {
     totals.hops += c * t(a, b);
     totals.count += c;

@@ -1,7 +1,10 @@
 #include "util/cli.hpp"
 
 #include <cstdlib>
+#include <exception>
+#include <iostream>
 #include <sstream>
+#include <stdexcept>
 
 namespace sfc::util {
 
@@ -76,6 +79,15 @@ std::int64_t ArgParser::i64(const std::string& name) const {
   return std::strtoll(str(name).c_str(), nullptr, 10);
 }
 
+std::uint32_t ArgParser::u32(const std::string& name) const {
+  const std::int64_t v = i64(name);
+  if (v < 0 || v > std::int64_t{0xffffffff}) {
+    throw std::invalid_argument("--" + name + " must be between 0 and " +
+                                "4294967295 (got " + str(name) + ")");
+  }
+  return static_cast<std::uint32_t>(v);
+}
+
 double ArgParser::f64(const std::string& name) const {
   return std::strtod(str(name).c_str(), nullptr);
 }
@@ -92,6 +104,15 @@ std::string ArgParser::usage() const {
   }
   os << "  --help\n      Show this message.\n";
   return os.str();
+}
+
+int run_main(int argc, char** argv, int (*body)(int, char**)) {
+  try {
+    return body(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
+  }
 }
 
 }  // namespace sfc::util

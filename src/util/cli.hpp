@@ -28,6 +28,9 @@ class ArgParser {
   bool flag(const std::string& name) const;
   std::string str(const std::string& name) const;
   std::int64_t i64(const std::string& name) const;
+  /// i64() range-checked to [0, 2^32 - 1]: a value outside throws
+  /// std::invalid_argument naming the flag, never wraps.
+  std::uint32_t u32(const std::string& name) const;
   double f64(const std::string& name) const;
 
   bool help_requested() const { return help_requested_; }
@@ -48,5 +51,10 @@ class ArgParser {
   bool help_requested_ = false;
   std::string error_;
 };
+
+/// Run a command-line body, reporting an escaping exception (a flag out
+/// of range surfaces as std::invalid_argument) like a malformed command
+/// line: `error: <what>` on stderr and exit status 1, never an abort.
+int run_main(int argc, char** argv, int (*body)(int, char**));
 
 }  // namespace sfc::util

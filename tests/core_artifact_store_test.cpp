@@ -560,26 +560,35 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>> pairs_of(
 }
 
 TEST(RankPairCodec, RoundTripsDenseAndSparse) {
-  for (const std::size_t budget :
-       {RankPairAccumulator::kDenseEntryBudget, std::size_t{0}}) {
-    RankPairAccumulator acc(12, budget);
-    for (topo::Rank i = 0; i < 200; ++i) {
-      acc.add(i % 12, (i * 7) % 12, 1 + i % 3);
-    }
-    std::vector<std::uint8_t> bytes;
-    rank_pairs_serialize(acc, bytes);
+  RankPairAccumulator acc(12);
+  for (topo::Rank i = 0; i < 200; ++i) {
+    acc.add(i % 12, (i * 7) % 12, 1 + i % 3);
+  }
+  std::vector<std::uint8_t> bytes;
+  rank_pairs_serialize(acc, bytes);
+  std::uint64_t mode = ~0ull;
+  std::memcpy(&mode, bytes.data() + 8, sizeof mode);
+  EXPECT_EQ(mode, 0u);
+  // Mode 1 flags a record written when small histograms were p² arrays:
+  // the same key-ordered pairs, so it decodes to the same histogram.
+  // Any other mode word is rejected.
+  for (const std::uint64_t flag : {0ull, 1ull, 2ull}) {
+    std::memcpy(bytes.data() + 8, &flag, sizeof flag);
     std::size_t off = 0;
     const auto back = rank_pairs_deserialize(bytes.data(), bytes.size(), off);
-    ASSERT_TRUE(back.has_value()) << budget;
+    if (flag > 1) {
+      EXPECT_FALSE(back.has_value());
+      continue;
+    }
+    ASSERT_TRUE(back.has_value()) << flag;
     EXPECT_EQ(off, bytes.size());
-    EXPECT_EQ(back->dense(), acc.dense());
     EXPECT_EQ(pairs_of(*back), pairs_of(acc));
     EXPECT_EQ(back->events(), acc.events());
   }
 }
 
 TEST(RankPairCodec, SealedSparseHistogramHoldsOnlyItsPairs) {
-  RankPairAccumulator acc(64, 0);
+  RankPairAccumulator acc(64);
   for (topo::Rank i = 0; i < 5000; ++i) acc.add(i % 64, (i / 64) % 64);
   acc.seal();
   const std::size_t pairs = pairs_of(acc).size();
@@ -611,30 +620,24 @@ TEST(RankPairCodec, RejectsKeysThatAreNotStrictlyIncreasing) {
   }
 }
 
-TEST(RankPairCodec, RejectsADenseRecordAboveTheDenseBudget) {
-  // A forged 24-byte header claiming a dense 16384-rank histogram would
-  // otherwise allocate p² = 2^28 counts (2 GiB) before reading a pair.
+TEST(RankPairCodec, DecodesADenseFlaggedRecordAsItsPairs) {
+  // A dense-flagged 16384-rank header holds no p² array (2 GiB at this
+  // p): the record decodes to its pairs and nothing more.
   std::size_t off = 0;
   auto bytes = rank_pair_record(16384, /*dense=*/true, {});
-  EXPECT_FALSE(rank_pairs_deserialize(bytes.data(), bytes.size(), off));
-  // 2049² is the first p² past kDenseEntryBudget = 2048².
+  auto empty = rank_pairs_deserialize(bytes.data(), bytes.size(), off);
+  ASSERT_TRUE(empty.has_value());
+  EXPECT_EQ(empty->memory_bytes(), 0u);
+  EXPECT_EQ(empty->events(), 0u);
   off = 0;
-  bytes = rank_pair_record(2049, /*dense=*/true, {});
-  EXPECT_FALSE(rank_pairs_deserialize(bytes.data(), bytes.size(), off));
-  off = 0;
-  bytes = rank_pair_record(2048, /*dense=*/true, {{1, 3}});
-  const auto at_budget =
-      rank_pairs_deserialize(bytes.data(), bytes.size(), off);
-  ASSERT_TRUE(at_budget.has_value());
-  EXPECT_TRUE(at_budget->dense());
-  EXPECT_EQ(at_budget->events(), 3u);
-  // The same claim in sparse mode allocates nothing up front.
-  off = 0;
-  bytes = rank_pair_record(16384, /*dense=*/false, {{7, 2}});
-  const auto sparse = rank_pairs_deserialize(bytes.data(), bytes.size(), off);
-  ASSERT_TRUE(sparse.has_value());
-  EXPECT_FALSE(sparse->dense());
-  EXPECT_EQ(sparse->events(), 2u);
+  bytes = rank_pair_record(16384, /*dense=*/true,
+                           {{1, 3}, {16385, 2}, {16384ull * 16384 - 1, 5}});
+  const auto back = rank_pairs_deserialize(bytes.data(), bytes.size(), off);
+  ASSERT_TRUE(back.has_value());
+  const std::size_t entry = sizeof(std::pair<std::uint64_t, std::uint64_t>);
+  EXPECT_EQ(back->memory_bytes(), 3 * entry);
+  EXPECT_EQ(back->events(), 10u);
+  EXPECT_EQ(off, bytes.size());
 }
 
 TEST(RankPairCodec, RejectsAZeroCount) {

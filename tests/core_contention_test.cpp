@@ -186,9 +186,9 @@ void expect_per_event_loads(const AcdInstance<2>& instance, unsigned level,
     }
   }
   LinkLoadMap want(net.level(), wrap);
-  for (const auto& [src, dst] :
+  for (const oracle::FfiEvent& e :
        oracle::ffi_event_pairs<2>(instance.particles(), level, part)) {
-    want.route(net.coordinate(src), net.coordinate(dst));
+    want.route(net.coordinate(e.src), net.coordinate(e.dst));
   }
   expect_same_loads(ffi_link_loads(instance, part, net, wrap), want,
                     net.level(), what + " ffi");

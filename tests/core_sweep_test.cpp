@@ -106,10 +106,9 @@ TEST(SweepEngine, MultiTrialMatchesDirectBitForBit) {
 }
 
 TEST(SweepEngine, SparseHistogramsMatchDirectBitForBit) {
-  // p = 4096 pushes the rank-pair accumulators past the dense p² budget
-  // into the sorted-sparse representation — the paper-scale (p = 65536)
-  // regime — so the canonical-order enumeration must also reproduce the
-  // staged/compacted path bit-for-bit, including ranks with no
+  // p = 4096 puts the histogram builder on its source-row path — the
+  // paper-scale (p = 65536) regime — so the canonical-order enumeration
+  // must reproduce the direct path bit-for-bit, including ranks with no
   // particles (p greatly exceeds n here).
   Study s = toy_combination_study();
   s.distributions = {dist::DistKind::kUniform};

@@ -70,10 +70,10 @@ void nfi_events(const std::vector<Point<D>>& sorted,
   });
 }
 
-enum class FfiFamily { kInterpolation, kAnterpolation, kInteraction };
-
 /// Every far-field communication of the definitional FFI model:
-/// fn(family, src rank, dst rank) once per event.
+/// fn(family, level, src rank, dst rank) once per event, where `level` is
+/// the level of the sending (interpolation), receiving (anterpolation) or
+/// interacting cells.
 template <int D, typename Fn>
 void ffi_events(const std::vector<Point<D>>& sorted, unsigned level,
                 const fmm::Partition& part, Fn&& fn) {
@@ -91,9 +91,9 @@ void ffi_events(const std::vector<Point<D>>& sorted, unsigned level,
       const Point<D> cell = unpack<D>(key, l);
       const std::uint64_t pk = pack(parent_of(cell), l - 1);
       const std::uint32_t parent_minp = levels[l - 1].at(pk);
-      fn(FfiFamily::kInterpolation, part.proc_of(minp),
+      fn(FfiFamily::kInterpolation, l, part.proc_of(minp),
          part.proc_of(parent_minp));
-      fn(FfiFamily::kAnterpolation, part.proc_of(parent_minp),
+      fn(FfiFamily::kAnterpolation, l, part.proc_of(parent_minp),
          part.proc_of(minp));
     }
   }
@@ -133,7 +133,7 @@ void ffi_events(const std::vector<Point<D>>& sorted, unsigned level,
             if (chebyshev(child, cell) <= 1) continue;  // adjacent or self
             const auto it = levels[l].find(pack(child, l));
             if (it == levels[l].end()) continue;  // unoccupied: silent
-            fn(FfiFamily::kInteraction, part.proc_of(it->second), owner);
+            fn(FfiFamily::kInteraction, l, part.proc_of(it->second), owner);
           }
         }
         int d = 0;
@@ -187,7 +187,8 @@ fmm::FfiTotals ffi_definitional(const std::vector<Point<D>>& sorted,
                                 const topo::Topology& net) {
   fmm::FfiTotals totals;
   ffi_events<D>(sorted, level, part,
-                [&](FfiFamily family, topo::Rank src, topo::Rank dst) {
+                [&](FfiFamily family, unsigned, topo::Rank src,
+                    topo::Rank dst) {
                   core::CommTotals& t =
                       family == FfiFamily::kInterpolation ? totals.interpolation
                       : family == FfiFamily::kAnterpolation
@@ -220,20 +221,21 @@ HopDistribution ffi_hop_distribution(const std::vector<Point<D>>& sorted,
                                      const topo::Topology& net) {
   HopDistribution dist;
   ffi_events<D>(sorted, level, part,
-                [&](FfiFamily, topo::Rank src, topo::Rank dst) {
+                [&](FfiFamily, unsigned, topo::Rank src, topo::Rank dst) {
                   ++dist[net.distance(src, dst)];
                 });
   return dist;
 }
 
 template <int D>
-std::vector<std::pair<topo::Rank, topo::Rank>> ffi_event_pairs(
-    const std::vector<Point<D>>& sorted, unsigned level,
-    const fmm::Partition& part) {
-  std::vector<std::pair<topo::Rank, topo::Rank>> events;
+std::vector<FfiEvent> ffi_event_pairs(const std::vector<Point<D>>& sorted,
+                                      unsigned level,
+                                      const fmm::Partition& part) {
+  std::vector<FfiEvent> events;
   ffi_events<D>(sorted, level, part,
-                [&](FfiFamily, topo::Rank src, topo::Rank dst) {
-                  events.emplace_back(src, dst);
+                [&](FfiFamily family, unsigned l, topo::Rank src,
+                    topo::Rank dst) {
+                  events.push_back({family, l, src, dst});
                 });
   return events;
 }
@@ -309,7 +311,7 @@ template HopDistribution ffi_hop_distribution<2>(const std::vector<Point<2>>&,
                                                 unsigned,
                                                 const fmm::Partition&,
                                                 const topo::Topology&);
-template std::vector<std::pair<topo::Rank, topo::Rank>> ffi_event_pairs<2>(
+template std::vector<FfiEvent> ffi_event_pairs<2>(
     const std::vector<Point<2>>&, unsigned, const fmm::Partition&);
 template FrozenTotals frozen_totals<2>(const std::vector<Point<2>>&, unsigned,
                                        const fmm::Partition&,

@@ -85,12 +85,24 @@ HopDistribution ffi_hop_distribution(const std::vector<Point<D>>& sorted,
                                      const fmm::Partition& part,
                                      const topo::Topology& net);
 
-/// (src rank, dst rank) of every event of ffi_definitional's
-/// communication set, all three families, one entry per event.
+enum class FfiFamily { kInterpolation, kAnterpolation, kInteraction };
+
+/// One far-field communication: its family, the level of the cells it
+/// serves (the child's level for interpolation and anterpolation), and
+/// its (src rank, dst rank).
+struct FfiEvent {
+  FfiFamily family;
+  unsigned level;
+  topo::Rank src;
+  topo::Rank dst;
+};
+
+/// Every event of ffi_definitional's communication set, all three
+/// families, one entry per event.
 template <int D>
-std::vector<std::pair<topo::Rank, topo::Rank>> ffi_event_pairs(
-    const std::vector<Point<D>>& sorted, unsigned level,
-    const fmm::Partition& part);
+std::vector<FfiEvent> ffi_event_pairs(const std::vector<Point<D>>& sorted,
+                                      unsigned level,
+                                      const fmm::Partition& part);
 
 /// Explicit-graph twin of a closed-form topology case: rank r occupies
 /// the same physical position as in `make_topology`, so every BFS hop
@@ -142,9 +154,8 @@ extern template HopDistribution nfi_hop_distribution<2>(
 extern template HopDistribution ffi_hop_distribution<2>(
     const std::vector<Point<2>>&, unsigned, const fmm::Partition&,
     const topo::Topology&);
-extern template std::vector<std::pair<topo::Rank, topo::Rank>>
-ffi_event_pairs<2>(const std::vector<Point<2>>&, unsigned,
-                   const fmm::Partition&);
+extern template std::vector<FfiEvent> ffi_event_pairs<2>(
+    const std::vector<Point<2>>&, unsigned, const fmm::Partition&);
 extern template FrozenTotals frozen_totals<2>(const std::vector<Point<2>>&,
                                               unsigned, const fmm::Partition&,
                                               const topo::Topology&, unsigned,

@@ -15,6 +15,7 @@
 #include <memory>
 #include <optional>
 #include <ostream>
+#include <set>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -211,37 +212,10 @@ TEST(AcdDiff, NfiOwnersPathMatchesPartitionPath) {
       });
 }
 
-TEST(AcdDiff, NfiSparseAccumulatorMatchesDense) {
-  SFCACD_PBT_CHECK_CFG(
-      acd_case(32), CheckConfig{}.scaled(0.5),
-      [](const AcdCase& c) -> std::optional<std::string> {
-        const std::vector<Point2> sorted =
-            sort_by_curve(c.pts, c.curve, c.level);
-        const fmm::OccupancyGrid<2> grid(sorted, c.level);
-        const fmm::Partition part(sorted.size(), c.topo.procs);
-        const auto net = c.topo.make();
-
-        const core::RankPairAccumulator dense =
-            fmm::nfi_histogram<2>(sorted, grid, part, c.radius, c.norm);
-        core::RankPairAccumulator sparse(c.topo.procs, /*dense_budget=*/0);
-        if (sparse.dense()) return "dense_budget=0 did not force sparse mode";
-        dense.for_each([&](topo::Rank s, topo::Rank d, std::uint64_t k) {
-          sparse.add(s, d, k);
-        });
-        sparse.seal();
-        if (sparse.events() != dense.events()) return "event totals differ";
-        if (!(net->fold(sparse.view()) == net->fold(dense.view()))) {
-          return "sparse fold != dense fold";
-        }
-        return std::nullopt;
-      });
-}
-
-/// The NFI kernel on its sparse path, in arbitrary array order: the
-/// particles sit in a random cluster of the grid (so events exist even on
-/// a level-14 map-backed grid), `owners` are contiguous chunks of the
-/// generation order handed to random ranks below `procs` (> 2048, so the
-/// default budget goes sparse with no test hook), and `perm` is the array
+/// The NFI kernel in arbitrary array order: the particles sit in a
+/// random cluster of the grid (so events exist even on a level-14
+/// map-backed grid), `owners` are contiguous chunks of the generation
+/// order handed to random ranks below `procs`, and `perm` is the array
 /// order the kernel sees.
 template <int D>
 struct SparseNfiCase {
@@ -272,7 +246,9 @@ std::ostream& operator<<(std::ostream& os, const SparseNfiCase<D>& c) {
 
 /// The points are `min_n`..`max_n` distinct cells of a 2^box-wide box
 /// (box = min(level, max_box_level)) placed at a random offset of the
-/// level grid. `procs` is drawn from [2049, 2^17].
+/// level grid. `procs` is drawn from [1, 2^17], half the time from
+/// [1, 32], so both sides of build_rank_pairs' size rule (a p×p scratch
+/// while p² <= 8 · particles, source rows beyond) are drawn.
 template <int D>
 Gen<SparseNfiCase<D>> sparse_nfi_case(Gen<unsigned> level_gen,
                                       unsigned max_box_level,
@@ -292,7 +268,8 @@ Gen<SparseNfiCase<D>> sparse_nfi_case(Gen<unsigned> level_gen,
           for (Point<D>& q : c.pts) q[d] += off;
         }
         const std::size_t n = c.pts.size();
-        c.procs = static_cast<topo::Rank>(r.between(2049, 1u << 17));
+        c.procs = static_cast<topo::Rank>(
+            r.between(1, r.coin() ? 32 : std::uint64_t{1} << 17));
         const std::size_t chunks = r.between(1, n);
         std::vector<topo::Rank> rank_of(chunks);
         for (topo::Rank& k : rank_of) {
@@ -360,7 +337,6 @@ std::optional<std::string> check_sparse_nfi(const SparseNfiCase<D>& c) {
   const fmm::OccupancyGrid<D> grid(pts, c.level);
   const core::RankPairAccumulator hist = fmm::nfi_histogram_owners<D>(
       pts, grid, owners, c.procs, c.radius, c.norm);
-  if (hist.dense()) return "the default budget chose dense mode";
   hist.seal();
 
   std::vector<std::tuple<std::uint64_t, topo::Rank, topo::Rank,
@@ -423,6 +399,144 @@ TEST(AcdDiff, NfiSparseKernelMatchesPerEventOracle3D) {
 }
 
 // ------------------------------------------------------ FFI differential
+
+/// An FFI histogram build: a particle set, its curve and a processor
+/// count drawn like sparse_nfi_case's, so both sides of the builder's
+/// size rule are drawn (the items are the cells of the tree's levels).
+struct FfiHistCase {
+  unsigned level = 2;
+  std::vector<Point2> pts;
+  CurveKind curve = CurveKind::kHilbert;
+  topo::Rank procs = 1;
+};
+
+std::ostream& operator<<(std::ostream& os, const FfiHistCase& c) {
+  return os << "{level=" << c.level << ", curve=" << curve_name(c.curve)
+            << ", procs=" << c.procs << ", pts="
+            << detail::Printer<std::vector<Point2>>::print(c.pts) << "}";
+}
+
+Gen<FfiHistCase> ffi_hist_case() {
+  const Gen<CurveKind> ck = any_curve2();
+  return Gen<FfiHistCase>{
+      [ck](Rand& r) {
+        FfiHistCase c;
+        c.level = static_cast<unsigned>(r.between(2, 6));
+        const auto max_n = static_cast<std::size_t>(
+            std::min<std::uint64_t>(160, grid_size<2>(c.level) / 2));
+        c.pts = distinct_points<2>(c.level, 1, max_n).sample(r);
+        c.curve = ck.sample(r);
+        c.procs = static_cast<topo::Rank>(
+            r.between(1, r.coin() ? 32 : std::uint64_t{1} << 17));
+        return c;
+      },
+      [](const FfiHistCase& c, std::vector<FfiHistCase>& out) {
+        std::vector<std::vector<Point2>> pcands;
+        distinct_points<2>(c.level, 1, c.pts.size()).shrink(c.pts, pcands);
+        for (auto& pts : pcands) {
+          FfiHistCase smaller = c;
+          smaller.pts = std::move(pts);
+          out.push_back(std::move(smaller));
+        }
+        std::vector<topo::Rank> procs;
+        shrink_integral_toward(topo::Rank{1}, c.procs, procs);
+        for (const topo::Rank p : procs) {
+          FfiHistCase smaller = c;
+          smaller.procs = p;
+          out.push_back(std::move(smaller));
+        }
+      }};
+}
+
+/// `acc`'s pairs against `want`, pair for pair and in key order.
+std::optional<std::string> expect_pairs(const core::RankPairAccumulator& acc,
+                                        const oracle::PairCounts& want,
+                                        const char* what) {
+  std::vector<std::pair<std::pair<topo::Rank, topo::Rank>, std::uint64_t>>
+      got;
+  acc.for_each([&](topo::Rank s, topo::Rank d, std::uint64_t k) {
+    got.push_back({{s, d}, k});
+  });
+  const std::vector<
+      std::pair<std::pair<topo::Rank, topo::Rank>, std::uint64_t>>
+      expect(want.begin(), want.end());
+  if (got == expect) return std::nullopt;
+  std::string msg = std::string(what) + ": " + std::to_string(got.size()) +
+                    " pairs, oracle has " + std::to_string(expect.size());
+  for (std::size_t i = 0; i < std::min(got.size(), expect.size()); ++i) {
+    if (got[i] != expect[i]) {
+      const auto& [g, gk] = got[i];
+      const auto& [e, ek] = expect[i];
+      msg += "; first difference: (" + std::to_string(g.first) + "," +
+             std::to_string(g.second) + ")=" + std::to_string(gk) +
+             " vs oracle (" + std::to_string(e.first) + "," +
+             std::to_string(e.second) + ")=" + std::to_string(ek);
+      break;
+    }
+  }
+  return msg;
+}
+
+std::optional<std::string> check_ffi_histograms(const FfiHistCase& c) {
+  const std::vector<Point2> sorted =
+      sort_by_curve(c.pts, c.curve, c.level);
+  const fmm::Partition part(sorted.size(), c.procs);
+  const fmm::FfiHistograms h =
+      fmm::ffi_histograms<2>(fmm::CellTree<2>(sorted, c.level), part);
+
+  oracle::PairCounts interp;
+  oracle::PairCounts inter;
+  std::vector<std::uint64_t> interp_at(c.level + 1, 0);
+  for (const oracle::FfiEvent& e :
+       oracle::ffi_event_pairs<2>(sorted, c.level, part)) {
+    if (e.family == oracle::FfiFamily::kInterpolation) {
+      ++interp[{e.src, e.dst}];
+      ++interp_at[e.level];
+    } else if (e.family == oracle::FfiFamily::kInteraction) {
+      ++inter[{e.src, e.dst}];
+    }
+  }
+  if (auto err = expect_pairs(h.interpolation, interp, "interpolation")) {
+    return err;
+  }
+  if (auto err = expect_pairs(h.interaction, inter, "interaction")) {
+    return err;
+  }
+  // IL membership is symmetric, so the interaction histogram is its
+  // own transpose.
+  oracle::PairCounts got;
+  h.interaction.for_each([&got](topo::Rank s, topo::Rank d, std::uint64_t k) {
+    got[{s, d}] = k;
+  });
+  for (const auto& [pair, count] : got) {
+    const auto it = got.find({pair.second, pair.first});
+    if (it == got.end() || it->second != count) {
+      return "interaction histogram is not its own transpose at (" +
+             std::to_string(pair.first) + "," +
+             std::to_string(pair.second) + ")";
+    }
+  }
+  // Each occupied cell of level l >= 1 sends exactly one
+  // interpolation event to its parent.
+  for (unsigned l = 1; l <= c.level; ++l) {
+    std::set<std::pair<std::uint32_t, std::uint32_t>> cells;
+    for (const Point2& q : c.pts) {
+      cells.emplace(q[0] >> (c.level - l), q[1] >> (c.level - l));
+    }
+    if (interp_at[l] != cells.size()) {
+      return "level " + std::to_string(l) + ": " +
+             std::to_string(interp_at[l]) +
+             " interpolation events for " +
+             std::to_string(cells.size()) + " occupied cells";
+    }
+  }
+  return std::nullopt;
+}
+
+TEST(AcdDiff, FfiHistogramsMatchPerEventOracle) {
+  SFCACD_PBT_CHECK_CFG(ffi_hist_case(), CheckConfig{}.scaled(0.5),
+                       check_ffi_histograms);
+}
 
 TEST(AcdDiff, FfiEnginesMatchDefinitionalOracle) {
   SFCACD_PBT_CHECK(acd_case(32), [](const AcdCase& c)

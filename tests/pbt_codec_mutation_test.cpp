@@ -5,7 +5,9 @@
 // only ever see bytes some producer wrote. They still must not trust
 // them: a payload that validates but was written by a different (or
 // buggy) producer reaches the decoder unchecked. Each property serializes
-// a random dense or sparse histogram, mutates the bytes, and decodes:
+// a random histogram — half the records carry mode word 1, the flag of
+// records written when small histograms were p² arrays, which decode
+// alike — mutates the bytes, and decodes:
 //   * flip: xor 1–4 random bytes with a nonzero mask;
 //   * truncate: cut the payload at a random length;
 //   * splice: a prefix of this payload followed by a suffix of another
@@ -13,7 +15,7 @@
 //   * field: overwrite one u64 field (header or pair) with 0, p², p²−1 or
 //     2⁶⁴−1 — the boundary values of every bound the decoder checks.
 // The decode must return nullopt or a sealed, well-formed histogram:
-// every key < p², every count > 0, keys strictly increasing, and a sparse
+// every key < p², every count > 0, keys strictly increasing, and the
 // histogram holding exactly its pairs. It must never crash or trip a
 // sanitizer (the ASan+UBSan leg runs this binary).
 #include <gtest/gtest.h>
@@ -38,7 +40,7 @@ enum class Mutation { kFlip, kTruncate, kSplice, kField };
 
 struct MutationCase {
   topo::Rank procs = 1;
-  bool dense = true;        ///< storage mode of the serialized histogram
+  bool legacy = true;       ///< records carry mode word 1
   unsigned events = 0;      ///< add() calls that fill it
   std::uint64_t seed = 0;   ///< histogram contents and mutation choices
   Mutation mutation = Mutation::kFlip;
@@ -46,19 +48,19 @@ struct MutationCase {
 
 std::ostream& operator<<(std::ostream& os, const MutationCase& c) {
   static const char* const kNames[] = {"flip", "truncate", "splice", "field"};
-  return os << "{procs=" << c.procs << ", dense=" << c.dense
+  return os << "{procs=" << c.procs << ", legacy=" << c.legacy
             << ", events=" << c.events << ", seed=" << c.seed
             << ", mutation=" << kNames[static_cast<int>(c.mutation)] << "}";
 }
 
-/// Random histograms up to p = 64 in either mode; shrinks toward fewer
+/// Random histograms up to p = 64, either mode word; shrinks toward fewer
 /// events, then fewer ranks.
 pbt::Gen<MutationCase> mutation_case() {
   return pbt::Gen<MutationCase>{
       [](pbt::Rand& r) {
         MutationCase c;
         c.procs = static_cast<topo::Rank>(r.between(1, 64));
-        c.dense = r.below(2) == 0;
+        c.legacy = r.below(2) == 0;
         c.events = static_cast<unsigned>(r.between(0, 400));
         c.seed = r.u64();
         c.mutation = static_cast<Mutation>(r.below(4));
@@ -90,16 +92,28 @@ std::uint64_t next(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-core::RankPairAccumulator histogram(topo::Rank procs, bool dense,
-                                    unsigned events, std::uint64_t& state) {
-  core::RankPairAccumulator acc(
-      procs, dense ? core::RankPairAccumulator::kDenseEntryBudget : 0);
+core::RankPairAccumulator histogram(topo::Rank procs, unsigned events,
+                                    std::uint64_t& state) {
+  core::RankPairAccumulator acc(procs);
   for (unsigned i = 0; i < events; ++i) {
     const std::uint64_t v = next(state);
     acc.add(static_cast<topo::Rank>(v % procs),
             static_cast<topo::Rank>((v >> 20) % procs), 1 + (v >> 60));
   }
   return acc;
+}
+
+/// Overwrite the mode word of the record that starts at `at` with 1 when
+/// `legacy`, and return the offset of the record that follows it.
+std::size_t flag_record(std::vector<std::uint8_t>& bytes, std::size_t at,
+                        bool legacy) {
+  std::uint64_t pairs = 0;
+  std::memcpy(&pairs, bytes.data() + at + 16, sizeof pairs);
+  if (legacy) {
+    const std::uint64_t one = 1;
+    std::memcpy(bytes.data() + at + 8, &one, sizeof one);
+  }
+  return at + 24 + 16 * static_cast<std::size_t>(pairs);
 }
 
 /// Apply `c.mutation` to `bytes`; `other` is the splice donor.
@@ -164,10 +178,10 @@ std::optional<std::string> well_formed(const core::RankPairAccumulator& acc) {
     ++pairs;
   });
   if (bad) return bad;
-  // Sealed: a sparse histogram holds its pairs and nothing else.
+  // Sealed: the histogram holds its pairs and nothing else.
   const std::size_t entry = sizeof(std::pair<std::uint64_t, std::uint64_t>);
-  if (!acc.dense() && acc.memory_bytes() != pairs * entry) {
-    return "sparse histogram not sealed: " +
+  if (acc.memory_bytes() != pairs * entry) {
+    return "histogram not sealed: " +
            std::to_string(acc.memory_bytes()) + " bytes for " +
            std::to_string(pairs) + " pairs";
   }
@@ -180,12 +194,12 @@ TEST(CodecMutation, RankPairRecordDecodesOrIsRejected) {
       [](const MutationCase& c) -> std::optional<std::string> {
         std::uint64_t state = c.seed;
         std::vector<std::uint8_t> bytes;
-        core::rank_pairs_serialize(
-            histogram(c.procs, c.dense, c.events, state), bytes);
+        core::rank_pairs_serialize(histogram(c.procs, c.events, state), bytes);
+        flag_record(bytes, 0, c.legacy);
         std::vector<std::uint8_t> other;
         core::rank_pairs_serialize(
-            histogram(c.procs % 64 + 1, !c.dense, c.events / 2 + 1, state),
-            other);
+            histogram(c.procs % 64 + 1, c.events / 2 + 1, state), other);
+        flag_record(other, 0, !c.legacy);
         mutate(bytes, other, c, state);
         std::size_t off = 0;
         const auto back =
@@ -202,17 +216,19 @@ TEST(CodecMutation, FfiHistogramsDecodeOrAreRejected) {
       [](const MutationCase& c) -> std::optional<std::string> {
         std::uint64_t state = c.seed;
         fmm::FfiHistograms hist(c.procs);
-        hist.interpolation = histogram(c.procs, c.dense, c.events, state);
-        hist.interaction = histogram(c.procs, !c.dense, c.events / 3, state);
+        hist.interpolation = histogram(c.procs, c.events, state);
+        hist.interaction = histogram(c.procs, c.events / 3, state);
         std::vector<std::uint8_t> bytes;
         fmm::ffi_histograms_serialize(hist, bytes);
+        flag_record(bytes, flag_record(bytes, 0, c.legacy), !c.legacy);
         fmm::FfiHistograms donor(c.procs % 64 + 1);
         donor.interpolation =
-            histogram(c.procs % 64 + 1, c.dense, c.events / 2 + 1, state);
+            histogram(c.procs % 64 + 1, c.events / 2 + 1, state);
         donor.interaction =
-            histogram(c.procs % 64 + 1, c.dense, c.events / 2 + 1, state);
+            histogram(c.procs % 64 + 1, c.events / 2 + 1, state);
         std::vector<std::uint8_t> other;
         fmm::ffi_histograms_serialize(donor, other);
+        flag_record(other, flag_record(other, 0, c.legacy), c.legacy);
         mutate(bytes, other, c, state);
         std::size_t off = 0;
         const auto back =

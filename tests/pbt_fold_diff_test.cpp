@@ -52,11 +52,8 @@ std::string show(const core::CommTotals& t) {
 
 /// Deterministic (src, dst, count) stream from a SplitMix64-style walk.
 core::RankPairAccumulator histogram_of(topo::Rank p, std::size_t n,
-                                       std::uint64_t seed,
-                                       std::size_t budget =
-                                           core::RankPairAccumulator::
-                                               kDenseEntryBudget) {
-  core::RankPairAccumulator acc(p, budget);
+                                       std::uint64_t seed) {
+  core::RankPairAccumulator acc(p);
   std::uint64_t state = seed * 0x9e3779b97f4a7c15ull + 1;
   for (std::size_t i = 0; i < n; ++i) {
     state = state * 6364136223846793005ull + 1442695040888963407ull;
@@ -92,20 +89,12 @@ TEST(FoldDiff, FactorizedMatchesDenseTableFold) {
           return "paper topology did not report a factorized strategy";
         }
         const topo::Rank p = net->size();
-        const core::RankPairAccumulator dense = histogram_of(p, 1500, seed);
-        const core::CommTotals fold = net->fold(dense.view());
-        const core::CommTotals want = dense.fold(net->dense_table());
+        const core::RankPairAccumulator acc = histogram_of(p, 1500, seed);
+        const core::CommTotals fold = net->fold(acc.view());
+        const core::CommTotals want = acc.fold(net->dense_table());
         if (!(fold == want)) {
           return "factorized fold " + show(fold) +
                  " != dense-table fold " + show(want);
-        }
-        // Same totals through a sparse-mode view of the same multiset.
-        const core::RankPairAccumulator sparse =
-            histogram_of(p, 1500, seed, /*budget=*/0);
-        if (sparse.dense()) return "budget 0 did not force sparse mode";
-        const core::CommTotals sfold = net->fold(sparse.view());
-        if (!(sfold == want)) {
-          return "sparse-view fold " + show(sfold) + " != " + show(want);
         }
         return std::nullopt;
       });
@@ -148,7 +137,6 @@ TEST(FoldDiff, GraphStreamedMatchesFactorizedBeyondTableBudget) {
   EXPECT_EQ(ring.fold_strategy(), topo::FoldStrategy::kFactorized);
 
   const core::RankPairAccumulator acc = histogram_of(p, 20000, 7);
-  ASSERT_FALSE(acc.dense());  // p² > the dense accumulator budget too
   const core::CommTotals streamed = g.fold(acc.view());
   const core::CommTotals factorized = ring.fold(acc.view());
   EXPECT_EQ(streamed.hops, factorized.hops);

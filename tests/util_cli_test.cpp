@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace sfc::util {
 namespace {
 
@@ -72,6 +75,31 @@ TEST(ArgParser, HelpRequested) {
   ASSERT_TRUE(p.parse(2, argv));
   EXPECT_TRUE(p.help_requested());
   EXPECT_NE(p.usage().find("particles"), std::string::npos);
+}
+
+TEST(ArgParser, U32RejectsValuesOutOfRangeInsteadOfWrapping) {
+  for (const char* bad : {"4294967300", "4294967296", "-1"}) {
+    auto p = make_parser();
+    const char* argv[] = {"prog", "--particles", bad};
+    ASSERT_TRUE(p.parse(3, argv));
+    try {
+      (void)p.u32("particles");
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--particles"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(ArgParser, U32AcceptsItsRange) {
+  auto p = make_parser();
+  const char* argv[] = {"prog", "--particles", "65536"};
+  ASSERT_TRUE(p.parse(3, argv));
+  EXPECT_EQ(p.u32("particles"), 65536u);
+  const char* top[] = {"prog", "--particles=4294967295"};
+  ASSERT_TRUE(p.parse(2, top));
+  EXPECT_EQ(p.u32("particles"), 4294967295u);
 }
 
 }  // namespace
